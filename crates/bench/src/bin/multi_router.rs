@@ -10,11 +10,11 @@
 //!
 //! Run: `cargo run --release -p hifind-bench --bin multi_router`
 
-use hifind::{HiFind, HiFindAggregator, HiFindConfig, SketchRecorder};
+use hifind::{HiFind, HiFindAggregator, HiFindConfig, IntervalSnapshot, SketchRecorder};
 use hifind_baselines::{Trw, TrwConfig};
 use hifind_bench::harness::{scale, section, seed, write_json};
 use hifind_collect::codec_v2::SnapshotEncoder;
-use hifind_collect::{wire, AgentConfig, Collector, CollectorConfig, RouterAgent};
+use hifind_collect::{codec, wire, AgentConfig, Collector, CollectorConfig, RouterAgent};
 use hifind_flow::{Ip4, Packet, Trace};
 use hifind_trafficgen::{presets, split_per_packet};
 use serde::Serialize;
@@ -146,9 +146,7 @@ fn main() {
         }
         for (router_id, snap) in snaps.iter().enumerate() {
             raw_bytes_total += snap.wire_size_bytes() as u64;
-            let v1_len = wire::encode_frame(router_id as u32, iv as u64, snap)
-                .expect("snapshot fits a frame")
-                .len() as u64;
+            let v1_len = dense_frame_len(snap);
             framed_bytes_total += v1_len;
             let acked = (iv > 0).then(|| iv as u64 - 1);
             let enc = v2_encoders[router_id].encode(iv as u64, snap, acked);
@@ -329,6 +327,13 @@ fn main() {
     );
 }
 
+/// Bytes of `snap` as a frame of the retired dense (v1) format: the
+/// frame header plus the dense [`codec`] payload. The v1 baseline of
+/// every ratio this bench reports.
+fn dense_frame_len(snap: &IntervalSnapshot) -> u64 {
+    (wire::HEADER_LEN + codec::encode_snapshot(snap).len()) as u64
+}
+
 /// Measures both codecs over one trace split per packet across three
 /// routers, with every prior interval assumed acked (healthy session).
 /// The first interval — the unavoidable cold keyframe — is excluded
@@ -357,9 +362,7 @@ fn codec_cost(cfg: &HiFindConfig, trace: &Trace) -> CodecCost {
                 }
             }
             let snap = router.take_snapshot();
-            let v1_len = wire::encode_frame(router_id as u32, iv as u64, &snap)
-                .expect("snapshot fits a frame")
-                .len() as u64;
+            let v1_len = dense_frame_len(&snap);
             let acked = (iv > 0).then(|| iv as u64 - 1);
             let enc = encoders[router_id].encode(iv as u64, &snap, acked);
             let v2_len =

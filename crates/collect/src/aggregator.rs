@@ -77,13 +77,8 @@ pub struct AggregatorConfig {
     /// Hooks invoked at tier transitions (snapshot forwarded, tier gap,
     /// frame rejection, checkpoint write/resume, upstream reconnect).
     pub observer: Option<Arc<dyn CollectObserver>>,
-    /// Upstream shipping policy (backlog, attempts, backoff, timeouts,
-    /// and the codecs offered upstream).
+    /// Upstream shipping policy (backlog, attempts, backoff, timeouts).
     pub ship: ShipConfig,
-    /// Codec ids accepted from downstream children, in preference order.
-    /// Independent of `ship.codecs`: a tier can accept v2 below while a
-    /// legacy root above forces its own uplink down to v1.
-    pub codecs: Vec<u8>,
 }
 
 impl std::fmt::Debug for AggregatorConfig {
@@ -99,7 +94,6 @@ impl std::fmt::Debug for AggregatorConfig {
             .field("resume_from", &self.resume_from)
             .field("observer", &self.observer.as_ref().map(|_| "Some(..)"))
             .field("ship", &self.ship)
-            .field("codecs", &self.codecs)
             .finish()
     }
 }
@@ -119,7 +113,6 @@ impl AggregatorConfig {
             resume_from: None,
             observer: None,
             ship: ShipConfig::default(),
-            codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
         }
     }
 }
@@ -146,8 +139,6 @@ pub struct AggregatorReport {
     pub frames_late: u64,
     /// Child frames rejected for wire/codec/fingerprint violations.
     pub frames_rejected: u64,
-    /// Accepted child frames that arrived in the legacy v1 codec.
-    pub frames_codec_v1: u64,
     /// Accepted v2 keyframes from children.
     pub frames_v2_keyframes: u64,
     /// Accepted v2 delta frames from children.
@@ -224,19 +215,16 @@ impl Aggregator {
         // Same bound and rationale as the root collector: a merger that
         // falls behind blocks the engine, pushing backpressure onto TCP.
         let (tx, rx) = std::sync::mpsc::sync_channel::<Event>(32);
-        let engine = PollEngine::spawn(
-            listener,
-            tx,
-            Arc::clone(&shutdown),
-            EngineConfig {
-                max_payload: agg_cfg.max_payload_bytes,
-                tick: Duration::from_millis(50),
-                codecs: agg_cfg.codecs.clone(),
-            },
-        )?;
+        let engine_cfg = EngineConfig {
+            max_payload: agg_cfg.max_payload_bytes,
+            tick: Duration::from_millis(50),
+        };
+        // Built before the engine starts, so a failed resume leaves no
+        // thread behind.
+        let mut merger = Merger::new(upstream.into(), cfg, agg_cfg, telemetry)?;
+        let engine = PollEngine::spawn(listener, tx, Arc::clone(&shutdown), engine_cfg)?;
         let merger = {
             let shutdown = Arc::clone(&shutdown);
-            let mut merger = Merger::new(upstream.into(), cfg, agg_cfg, telemetry)?;
             std::thread::spawn(move || merger.run(rx, shutdown))
         };
         Ok(AggregatorHandle {
@@ -487,9 +475,8 @@ impl Merger {
                 interval,
                 snapshot,
                 frame_bytes,
-                codec,
                 delta,
-            } => self.handle_frame(router_id, interval, *snapshot, frame_bytes, codec, delta),
+            } => self.handle_frame(router_id, interval, *snapshot, frame_bytes, delta),
         }
     }
 
@@ -513,7 +500,6 @@ impl Merger {
         interval: u64,
         snapshot: IntervalSnapshot,
         frame_bytes: u64,
-        codec: u8,
         delta: bool,
     ) {
         if snapshot.fingerprint != self.fingerprint {
@@ -531,10 +517,10 @@ impl Merger {
             OfferOutcome::Accepted => {
                 self.report.frames_received += 1;
                 self.report.bytes_received += frame_bytes;
-                match (codec, delta) {
-                    (wire::CODEC_V2, true) => self.report.frames_v2_deltas += 1,
-                    (wire::CODEC_V2, false) => self.report.frames_v2_keyframes += 1,
-                    _ => self.report.frames_codec_v1 += 1,
+                if delta {
+                    self.report.frames_v2_deltas += 1;
+                } else {
+                    self.report.frames_v2_keyframes += 1;
                 }
                 if !self.report.children_seen.contains(&child_id) {
                     self.report.children_seen.push(child_id);
@@ -542,10 +528,10 @@ impl Merger {
                 if let Some(t) = &self.telemetry {
                     t.base.frames_received.inc();
                     t.base.bytes_received.add(frame_bytes);
-                    match (codec, delta) {
-                        (wire::CODEC_V2, true) => t.base.frames_v2_deltas.inc(),
-                        (wire::CODEC_V2, false) => t.base.frames_v2_keyframes.inc(),
-                        _ => t.base.frames_codec_v1.inc(),
+                    if delta {
+                        t.base.frames_v2_deltas.inc();
+                    } else {
+                        t.base.frames_v2_keyframes.inc();
                     }
                     t.base
                         .combine_seconds
@@ -608,9 +594,9 @@ impl Merger {
             }
             return;
         };
-        // The shipper re-encodes the sum in whatever codec its upstream
-        // negotiated (keeping its own delta chain against that peer) and
-        // counts an unframeable sum as a dropped interval itself.
+        // The shipper re-encodes the sum against its own delta chain with
+        // the upstream peer and counts an unframeable sum as a dropped
+        // interval itself.
         let _ = self.shipper.ship_snapshot(flush.interval, &combined);
         self.report.intervals_forwarded += 1;
         if let Some(t) = &self.telemetry {

@@ -14,8 +14,7 @@
 //! directory), so a crash mid-write leaves the previous checkpoint intact.
 
 use crate::codec::{len_u64, put_u64, put_uvarint, unzigzag, zigzag, Reader};
-use crate::ship::BacklogFrame;
-use crate::wire::{self, crc32};
+use crate::wire::crc32;
 use crate::CodecError;
 use hifind::fp_filter::FloodStreak;
 use hifind::report::{Alert, AlertKind};
@@ -35,15 +34,15 @@ pub const AGENT_MAGIC: [u8; 4] = *b"HFA1";
 /// same container framing as checkpoints).
 pub const HISTORY_MAGIC: [u8; 4] = *b"HFH1";
 
-/// Checkpoint container format version written by core checkpoints and
-/// history segments (and by pre-v2 agent checkpoints).
+/// Checkpoint container format version of core checkpoints and history
+/// segments.
 pub const CHECKPOINT_VERSION: u16 = 1;
 
-/// Container version of agent checkpoints whose backlog entries carry a
-/// wire-codec tag ([`wire::CODEC_V1`] / [`wire::CODEC_V2`]). Version-1
-/// agent files still decode — every untagged frame is a v1 frame, which
-/// is all a pre-upgrade agent could have queued.
-pub const CHECKPOINT_VERSION_2: u16 = 2;
+/// Container version of agent and aggregator checkpoints (`HFA1`): an
+/// untagged list of standalone frames. Versions 1 and 2 held frames of
+/// the retired dense codec or codec tags and are refused with
+/// [`CheckpointError::Version`].
+pub const AGENT_CHECKPOINT_VERSION: u16 = 3;
 
 /// Container header: magic(4) + version(2) + reserved(2) + fingerprint(8)
 /// + payload_len(4) + crc32(4).
@@ -161,9 +160,9 @@ pub struct AgentCheckpoint {
     pub router_id: u32,
     /// Intervals ended so far (the next frame's interval index).
     pub interval: u64,
-    /// Backlogged wire frames (standalone, never deltas), oldest first,
-    /// each tagged with the codec its bytes are encoded in.
-    pub backlog: Vec<BacklogFrame>,
+    /// Backlogged wire frames (complete and standalone, never deltas),
+    /// oldest first.
+    pub backlog: Vec<Vec<u8>>,
 }
 
 /// Wraps an encoded payload in the version-1 CRC-checked container shared
@@ -194,7 +193,8 @@ pub fn encode_container_versioned(
     out
 }
 
-/// Validates the container and hands back `(fingerprint, payload)`.
+/// Validates a [`CHECKPOINT_VERSION`] container and hands back
+/// `(fingerprint, payload)`.
 ///
 /// A magic outside the known container family is [`CheckpointError::Magic`]
 /// (not a container at all); a known magic other than `expected_magic` is
@@ -203,19 +203,16 @@ pub fn decode_container(
     expected_magic: [u8; 4],
     bytes: &[u8],
 ) -> Result<(u64, &[u8]), CheckpointError> {
-    let (version, fingerprint, payload) = decode_container_versioned(expected_magic, bytes)?;
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::Version(version));
-    }
-    Ok((fingerprint, payload))
+    decode_container_versioned(expected_magic, CHECKPOINT_VERSION, bytes)
 }
 
-/// Like [`decode_container`], but accepts any known container version and
-/// hands it back for the caller to dispatch on.
+/// Like [`decode_container`] for a container of `expected_version`; any
+/// other version is [`CheckpointError::Version`].
 pub fn decode_container_versioned(
     expected_magic: [u8; 4],
+    expected_version: u16,
     bytes: &[u8],
-) -> Result<(u16, u64, &[u8]), CheckpointError> {
+) -> Result<(u64, &[u8]), CheckpointError> {
     let Some(header) = bytes.get(..CONTAINER_HEADER_LEN) else {
         return Err(CheckpointError::TruncatedContainer {
             declared: CONTAINER_HEADER_LEN,
@@ -234,7 +231,7 @@ pub fn decode_container_versioned(
         });
     }
     let version = u16::from_le_bytes(field(4..6).try_into().unwrap_or([0; 2]));
-    if version != CHECKPOINT_VERSION && version != CHECKPOINT_VERSION_2 {
+    if version != expected_version {
         return Err(CheckpointError::Version(version));
     }
     let fingerprint = u64::from_le_bytes(field(8..16).try_into().unwrap_or([0; 8]));
@@ -255,7 +252,7 @@ pub fn decode_container_versioned(
             got: got_crc,
         });
     }
-    Ok((version, fingerprint, payload))
+    Ok((fingerprint, payload))
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -523,35 +520,34 @@ pub fn decode_core_checkpoint(bytes: &[u8]) -> Result<CoreCheckpoint, Checkpoint
 }
 
 /// Serializes an [`AgentCheckpoint`] into its on-disk byte form (a
-/// version-2 container; each backlog entry is codec-tagged).
+/// [`AGENT_CHECKPOINT_VERSION`] container).
 pub fn encode_agent_checkpoint(ckpt: &AgentCheckpoint) -> Vec<u8> {
     let mut payload = Vec::with_capacity(1 << 10);
     put_uvarint(&mut payload, u64::from(ckpt.router_id));
     put_uvarint(&mut payload, ckpt.interval);
     put_uvarint(&mut payload, len_u64(ckpt.backlog.len()));
-    for entry in &ckpt.backlog {
-        payload.push(entry.codec);
-        put_uvarint(&mut payload, len_u64(entry.frame.len()));
-        payload.extend_from_slice(&entry.frame);
+    for frame in &ckpt.backlog {
+        put_uvarint(&mut payload, len_u64(frame.len()));
+        payload.extend_from_slice(frame);
     }
     encode_container_versioned(
         AGENT_MAGIC,
-        CHECKPOINT_VERSION_2,
+        AGENT_CHECKPOINT_VERSION,
         ckpt.fingerprint,
         &payload,
     )
 }
 
-/// Parses bytes produced by [`encode_agent_checkpoint`], or by a
-/// pre-upgrade agent (version-1 container; every frame is then tagged
-/// [`wire::CODEC_V1`], the only codec such an agent could ship).
+/// Parses bytes produced by [`encode_agent_checkpoint`].
 ///
 /// # Errors
 ///
 /// Returns a [`CheckpointError`] naming the first container or payload
-/// violation; never panics on malformed input.
+/// violation — an older container version included; never panics on
+/// malformed input.
 pub fn decode_agent_checkpoint(bytes: &[u8]) -> Result<AgentCheckpoint, CheckpointError> {
-    let (version, fingerprint, payload) = decode_container_versioned(AGENT_MAGIC, bytes)?;
+    let (fingerprint, payload) =
+        decode_container_versioned(AGENT_MAGIC, AGENT_CHECKPOINT_VERSION, bytes)?;
     let mut r = Reader::new(payload);
     let router_id = decode_u32_field(&mut r, "router_id")?;
     let interval = r.uvarint("interval")?;
@@ -559,20 +555,6 @@ pub fn decode_agent_checkpoint(bytes: &[u8]) -> Result<AgentCheckpoint, Checkpoi
     let n_frames = r.counted("backlog", n_frames, MAX_BACKLOG_FRAMES)?;
     let mut backlog = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
-        let codec = if version >= CHECKPOINT_VERSION_2 {
-            let tag = r.uvarint("backlog.codec")?;
-            match u8::try_from(tag) {
-                Ok(c) if c == wire::CODEC_V1 || c == wire::CODEC_V2 => c,
-                _ => {
-                    return Err(CheckpointError::Invalid {
-                        at: "backlog.codec",
-                        detail: format!("unknown codec tag {tag}"),
-                    })
-                }
-            }
-        } else {
-            wire::CODEC_V1
-        };
         let len = r.uvarint("backlog.frame")?;
         let len = r.counted("backlog.frame", len, MAX_FRAME_BYTES)?;
         let start = r.position();
@@ -582,10 +564,7 @@ pub fn decode_agent_checkpoint(bytes: &[u8]) -> Result<AgentCheckpoint, Checkpoi
                 at: "backlog.frame",
             }));
         };
-        backlog.push(BacklogFrame {
-            codec,
-            frame: payload[start..end].to_vec(),
-        });
+        backlog.push(payload[start..end].to_vec());
         r.skip(len, "backlog.frame")?;
     }
     if r.position() != payload.len() {
@@ -793,69 +772,28 @@ mod tests {
             fingerprint: 0xFEED,
             router_id: 7,
             interval: 42,
-            backlog: vec![
-                BacklogFrame {
-                    codec: wire::CODEC_V1,
-                    frame: vec![1, 2, 3],
-                },
-                BacklogFrame {
-                    codec: wire::CODEC_V2,
-                    frame: vec![],
-                },
-                BacklogFrame {
-                    codec: wire::CODEC_V2,
-                    frame: vec![0xFF; 300],
-                },
-            ],
+            backlog: vec![vec![1, 2, 3], vec![], vec![0xFF; 300]],
         };
         let bytes = encode_agent_checkpoint(&ckpt);
         assert_eq!(decode_agent_checkpoint(&bytes).unwrap(), ckpt);
     }
 
+    /// Agent files from before codec v2 became the only wire format —
+    /// version 1 (untagged dense-codec frames) and version 2 (codec-tagged
+    /// frames) — are refused by version, never half-read.
     #[test]
-    fn legacy_version_1_agent_checkpoint_decodes_with_v1_tags() {
-        // Hand-built version-1 layout: untagged frames, exactly what a
-        // pre-upgrade agent wrote to disk before being restarted onto
-        // this build (the resume-across-upgrade regression).
-        let frames: [&[u8]; 2] = [&[9, 9, 9], &[0xAB; 40]];
-        let mut payload = Vec::new();
-        put_uvarint(&mut payload, 7); // router_id
-        put_uvarint(&mut payload, 42); // interval
-        put_uvarint(&mut payload, 2); // backlog count
-        for f in frames {
-            put_uvarint(&mut payload, len_u64(f.len()));
-            payload.extend_from_slice(f);
+    fn pre_version_3_agent_checkpoints_are_rejected() {
+        for version in [1u16, 2] {
+            let mut payload = Vec::new();
+            put_uvarint(&mut payload, 7); // router_id
+            put_uvarint(&mut payload, 42); // interval
+            put_uvarint(&mut payload, 0); // backlog count
+            let bytes = encode_container_versioned(AGENT_MAGIC, version, 0xFEED, &payload);
+            assert!(matches!(
+                decode_agent_checkpoint(&bytes),
+                Err(CheckpointError::Version(v)) if v == version
+            ));
         }
-        let bytes = encode_container(AGENT_MAGIC, 0xFEED, &payload);
-        let ckpt = decode_agent_checkpoint(&bytes).unwrap();
-        assert_eq!(ckpt.router_id, 7);
-        assert_eq!(ckpt.interval, 42);
-        assert_eq!(ckpt.backlog.len(), 2);
-        for (entry, raw) in ckpt.backlog.iter().zip(frames) {
-            assert_eq!(entry.codec, wire::CODEC_V1);
-            assert_eq!(entry.frame, raw);
-        }
-    }
-
-    #[test]
-    fn unknown_backlog_codec_tag_is_rejected() {
-        let ckpt = AgentCheckpoint {
-            fingerprint: 1,
-            router_id: 1,
-            interval: 1,
-            backlog: vec![BacklogFrame {
-                codec: 9,
-                frame: vec![1],
-            }],
-        };
-        let bytes = encode_agent_checkpoint(&ckpt);
-        assert!(matches!(
-            decode_agent_checkpoint(&bytes),
-            Err(CheckpointError::Invalid {
-                at: "backlog.codec",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -240,8 +240,8 @@ fn decode_grid(r: &mut Reader<'_>, which: &'static str) -> Result<CounterGrid, C
     })
 }
 
-/// Serializes a snapshot into the payload format (no frame header; see
-/// [`crate::wire::encode_frame`] for the full frame).
+/// Serializes a snapshot into the dense format (no frame header; frames
+/// on the wire carry [`crate::codec_v2`] payloads instead).
 pub fn encode_snapshot(snap: &IntervalSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 << 16);
     put_u64(&mut out, snap.fingerprint);

@@ -1,11 +1,11 @@
-//! Codec v2: sparse + delta snapshot payloads.
+//! Codec v2: sparse + delta snapshot payloads, the one wire payload format.
 //!
-//! The v1 payload ([`crate::codec`]) spends one byte per counter even when
-//! a bucket is zero — and outside attack hot spots almost every bucket is.
-//! v2 attacks the two remaining cost centres:
+//! The dense encoding ([`crate::codec`]) spends one byte per counter even
+//! when a bucket is zero — and outside attack hot spots almost every
+//! bucket is. v2 attacks the two remaining cost centres:
 //!
 //! * **Sparse stages** — each grid stage (and the Bloom word array) is
-//!   encoded either densely (v1-style varints) or as runs of non-zero
+//!   encoded either densely (one varint per counter) or as runs of non-zero
 //!   values with zero-gap prefixes, whichever is smaller *for that stage*.
 //!   A quiet stage costs two bytes instead of one byte per bucket.
 //! * **Delta frames** — the cumulative active-service Bloom filter
@@ -47,7 +47,7 @@
 //!
 //! All residual arithmetic is wrapping, so `i64::MIN`/`i64::MAX` counters
 //! round-trip exactly. The decoder carries the same defensive posture as
-//! v1: bounds-checked reads, declared sizes capped before allocation, and
+//! the dense codec: bounds-checked reads, declared sizes capped before allocation, and
 //! typed [`CodecError`]s for every failure.
 
 use crate::codec::{

@@ -99,11 +99,6 @@ pub struct CollectorConfig {
     /// observes nothing. Callbacks run inline on the aligner thread, so
     /// they must stay cheap.
     pub observer: Option<Arc<dyn CollectObserver>>,
-    /// Codec ids accepted from downstream agents, in preference order.
-    /// The default speaks both v2 and v1; `vec![wire::CODEC_V1]` makes
-    /// this node byte-for-byte a legacy v1 collector (hellos rejected as
-    /// bad magic), which is how cross-version interop is tested.
-    pub codecs: Vec<u8>,
 }
 
 impl std::fmt::Debug for CollectorConfig {
@@ -117,7 +112,6 @@ impl std::fmt::Debug for CollectorConfig {
             .field("checkpoint", &self.checkpoint)
             .field("resume_from", &self.resume_from)
             .field("observer", &self.observer.as_ref().map(|_| "Some(..)"))
-            .field("codecs", &self.codecs)
             .finish()
     }
 }
@@ -134,7 +128,6 @@ impl CollectorConfig {
             checkpoint: None,
             resume_from: None,
             observer: None,
-            codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
         }
     }
 }
@@ -161,8 +154,6 @@ pub struct CollectionReport {
     pub frames_rejected: u64,
     /// Payload + header bytes of valid frames.
     pub bytes_received: u64,
-    /// Valid frames that arrived in the dense v1 codec.
-    pub frames_codec_v1: u64,
     /// Valid v2 keyframes.
     pub frames_v2_keyframes: u64,
     /// Valid v2 delta frames.
@@ -189,7 +180,6 @@ pub(crate) struct CollectorTelemetry {
     pub(crate) frames_rejected: Arc<Counter>,
     pub(crate) straggler_slots: Arc<Counter>,
     pub(crate) bytes_received: Arc<Counter>,
-    pub(crate) frames_codec_v1: Arc<Counter>,
     pub(crate) frames_v2_keyframes: Arc<Counter>,
     pub(crate) frames_v2_deltas: Arc<Counter>,
     pub(crate) combine_seconds: Arc<Histogram>,
@@ -225,10 +215,6 @@ impl CollectorTelemetry {
             bytes_received: registry.counter(
                 "hifind_collect_bytes_received_total",
                 "Bytes of valid frames received",
-            )?,
-            frames_codec_v1: registry.counter(
-                "hifind_collect_frames_codec_v1_total",
-                "Valid frames received in the dense v1 codec",
             )?,
             frames_v2_keyframes: registry.counter(
                 "hifind_collect_frames_v2_keyframes_total",
@@ -288,19 +274,16 @@ impl Collector {
         // sockets — when detection falls behind, pushing the backpressure
         // onto TCP instead of collector memory.
         let (tx, rx) = std::sync::mpsc::sync_channel::<Event>(32);
-        let engine = PollEngine::spawn(
-            listener,
-            tx,
-            Arc::clone(&shutdown),
-            EngineConfig {
-                max_payload: collector_cfg.max_payload_bytes,
-                tick: Duration::from_millis(50),
-                codecs: collector_cfg.codecs.clone(),
-            },
-        )?;
+        let engine_cfg = EngineConfig {
+            max_payload: collector_cfg.max_payload_bytes,
+            tick: Duration::from_millis(50),
+        };
+        // Built before the engine starts, so a failed resume leaves no
+        // thread behind.
+        let mut aligner = Aligner::new(cfg, collector_cfg, telemetry)?;
+        let engine = PollEngine::spawn(listener, tx, Arc::clone(&shutdown), engine_cfg)?;
         let aligner = {
             let shutdown = Arc::clone(&shutdown);
-            let mut aligner = Aligner::new(cfg, collector_cfg, telemetry)?;
             std::thread::spawn(move || aligner.run(rx, shutdown))
         };
         Ok(CollectorHandle {
@@ -445,6 +428,7 @@ impl Aligner {
             self.handle(event);
         }
         self.flush_ready(true);
+        self.report.log = self.core.log().clone();
         // One final checkpoint so a clean shutdown is always resumable
         // from its very last interval.
         self.maybe_checkpoint(true);
@@ -529,9 +513,8 @@ impl Aligner {
                 interval,
                 snapshot,
                 frame_bytes,
-                codec,
                 delta,
-            } => self.handle_frame(router_id, interval, *snapshot, frame_bytes, codec, delta),
+            } => self.handle_frame(router_id, interval, *snapshot, frame_bytes, delta),
         }
     }
 
@@ -541,7 +524,6 @@ impl Aligner {
         interval: u64,
         snapshot: IntervalSnapshot,
         frame_bytes: u64,
-        codec: u8,
         delta: bool,
     ) {
         if snapshot.fingerprint != self.fingerprint {
@@ -564,10 +546,10 @@ impl Aligner {
             OfferOutcome::Accepted => {
                 self.report.frames_received += 1;
                 self.report.bytes_received += frame_bytes;
-                match (codec, delta) {
-                    (wire::CODEC_V2, true) => self.report.frames_v2_deltas += 1,
-                    (wire::CODEC_V2, false) => self.report.frames_v2_keyframes += 1,
-                    _ => self.report.frames_codec_v1 += 1,
+                if delta {
+                    self.report.frames_v2_deltas += 1;
+                } else {
+                    self.report.frames_v2_keyframes += 1;
                 }
                 if !self.report.routers_seen.contains(&router_id) {
                     self.report.routers_seen.push(router_id);
@@ -575,10 +557,10 @@ impl Aligner {
                 if let Some(t) = &self.telemetry {
                     t.frames_received.inc();
                     t.bytes_received.add(frame_bytes);
-                    match (codec, delta) {
-                        (wire::CODEC_V2, true) => t.frames_v2_deltas.inc(),
-                        (wire::CODEC_V2, false) => t.frames_v2_keyframes.inc(),
-                        _ => t.frames_codec_v1.inc(),
+                    if delta {
+                        t.frames_v2_deltas.inc();
+                    } else {
+                        t.frames_v2_keyframes.inc();
                     }
                     t.combine_seconds.observe_duration(combine_start.elapsed());
                 }
@@ -625,7 +607,6 @@ impl Aligner {
                 }
             }
             self.process_flush(&flush);
-            self.report.log = self.core.log().clone();
             self.maybe_checkpoint(false);
         }
     }

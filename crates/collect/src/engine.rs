@@ -11,13 +11,10 @@
 //! Decoded frames flow to the consumer (the aligner or merger thread)
 //! over a bounded channel. A consumer that falls behind backpressures
 //! the engine: events it cannot `try_send` park in a small pending queue
-//! and every connection that has produced data frames leaves the poll
-//! set until the queue drains, so backpressure lands on TCP instead of
-//! collector memory. Crucially the engine thread itself never blocks —
-//! the control plane (accepting connections, answering codec hellos,
-//! flushing interval acks) stays live however far behind detection runs.
-//! A v2 agent reconnecting into a backpressured collector still gets its
-//! hello answered instead of timing out into v1 fallback or retry loops.
+//! and every connection leaves the poll set until the queue drains, so
+//! backpressure lands on TCP instead of collector memory. Crucially the
+//! engine thread itself never blocks — accepting connections and
+//! flushing interval acks stay live however far behind detection runs.
 //!
 //! Shutdown is prompt: [`EngineHandle::wake`] writes one byte into the
 //! wakeup pipe, which the poll set always watches, so `stop()` never
@@ -50,9 +47,7 @@ pub(crate) enum Event {
         snapshot: Box<IntervalSnapshot>,
         /// Header + payload size on the wire.
         frame_bytes: u64,
-        /// Which codec the payload arrived in.
-        codec: u8,
-        /// Whether a v2 payload was a delta (false for keyframes and v1).
+        /// Whether the payload was a delta (false for keyframes).
         delta: bool,
     },
     /// A frame failed wire validation and was discarded.
@@ -68,24 +63,6 @@ pub(crate) struct EngineConfig {
     /// Poll timeout: the worst-case latency of noticing the shutdown
     /// flag if the wakeup byte is ever lost (belt and braces).
     pub tick: Duration,
-    /// Codec ids this node accepts, in preference order. A list without
-    /// [`wire::CODEC_V2`] makes the node behave exactly like a legacy
-    /// v1 build: hellos die as bad magic and version-2 frames as
-    /// unsupported versions.
-    pub codecs: Vec<u8>,
-}
-
-impl EngineConfig {
-    /// Highest-preference codec shared with a peer advertising `theirs`,
-    /// falling back to v1 (which every build speaks and no hello is ever
-    /// sent for).
-    fn pick_codec(&self, theirs: &[u8]) -> u8 {
-        self.codecs
-            .iter()
-            .copied()
-            .find(|c| theirs.contains(c))
-            .unwrap_or(wire::CODEC_V1)
-    }
 }
 
 /// A typed per-connection frame state machine: bytes accumulate in one
@@ -95,11 +72,6 @@ pub(crate) struct FrameAssembler {
     buf: Vec<u8>,
     state: FrameState,
     max_payload: u32,
-    /// Whether this node understands v2 at all. When false the assembler
-    /// is byte-for-byte a legacy v1 endpoint: a hello is bad magic, a
-    /// version-2 header an unsupported version — which is exactly how
-    /// agents detect a v1-only collector and fall back.
-    accept_v2: bool,
 }
 
 /// Where the assembler stands in the current frame.
@@ -124,13 +96,9 @@ pub(crate) enum Step {
         snapshot: Box<IntervalSnapshot>,
         /// Header + payload size on the wire.
         frame_bytes: u64,
-        /// Which codec the payload arrived in.
-        codec: u8,
-        /// Whether a v2 payload was a delta.
+        /// Whether the payload was a delta.
         delta: bool,
     },
-    /// The peer's hello: the codec ids it advertised.
-    Hello(Vec<u8>),
     /// The framing was intact (lengths checked out) but the payload was
     /// bad; this frame is skipped, the connection survives.
     Skip(WireError),
@@ -139,12 +107,11 @@ pub(crate) enum Step {
 }
 
 impl FrameAssembler {
-    pub(crate) fn new(max_payload: u32, accept_v2: bool) -> Self {
+    pub(crate) fn new(max_payload: u32) -> Self {
         FrameAssembler {
             buf: Vec::new(),
             state: FrameState::Header,
             max_payload,
-            accept_v2,
         }
     }
 
@@ -160,40 +127,10 @@ impl FrameAssembler {
         !self.buf.is_empty()
     }
 
-    /// Tries to slice a complete hello off the front of the buffer.
-    /// `None` means "not a hello" (fall through to frame parsing);
-    /// `Some(Need)` means one is forming but incomplete.
-    fn try_hello(&mut self) -> Option<Step> {
-        if !self.accept_v2 || self.buf.len() < 4 || self.buf[..4] != wire::HELLO_MAGIC {
-            return None;
-        }
-        if self.buf.len() < wire::HELLO_BASE_LEN {
-            return Some(Step::Need);
-        }
-        let count = usize::from(u16::from_le_bytes([self.buf[6], self.buf[7]]));
-        let total = wire::HELLO_BASE_LEN + count;
-        if self.buf.len() < total {
-            return Some(Step::Need);
-        }
-        let parsed = wire::parse_hello(&self.buf[..total]);
-        match parsed {
-            Ok(codecs) => {
-                self.buf.drain(..total);
-                Some(Step::Hello(codecs))
-            }
-            // A corrupt hello means the peer's first bytes are already
-            // untrustworthy; framing cannot recover.
-            Err(e) => Some(Step::Fatal(e)),
-        }
-    }
-
     /// Advances the state machine by at most one frame.
     pub(crate) fn step(&mut self, chains: &mut ChainStore) -> Step {
         let header = match self.state {
             FrameState::Header => {
-                if let Some(step) = self.try_hello() {
-                    return step;
-                }
                 if self.buf.len() < HEADER_LEN {
                     return Step::Need;
                 }
@@ -206,9 +143,6 @@ impl FrameAssembler {
                     });
                 };
                 match wire::parse_header(&header_bytes, self.max_payload) {
-                    Ok(h) if h.version == wire::PROTOCOL_VERSION_2 && !self.accept_v2 => {
-                        return Step::Fatal(WireError::UnsupportedVersion(h.version));
-                    }
                     Ok(h) => {
                         self.state = FrameState::Payload(h);
                         h
@@ -229,12 +163,7 @@ impl FrameAssembler {
         if self.buf.len() < frame_len {
             return Step::Need;
         }
-        let payload = &self.buf[HEADER_LEN..frame_len];
-        let decoded = if header.version == wire::PROTOCOL_VERSION_2 {
-            wire::decode_payload_v2(&header, payload, chains)
-        } else {
-            wire::decode_payload(&header, payload).map(|snapshot| (snapshot, false))
-        };
+        let decoded = wire::decode_payload_v2(&header, &self.buf[HEADER_LEN..frame_len], chains);
         self.buf.drain(..frame_len);
         self.state = FrameState::Header;
         match decoded {
@@ -243,7 +172,6 @@ impl FrameAssembler {
                 interval: header.interval,
                 snapshot: Box::new(snapshot),
                 frame_bytes: u64::try_from(frame_len).unwrap_or(u64::MAX),
-                codec: header.codec,
                 delta,
             },
             Err(e) => Step::Skip(e),
@@ -370,20 +298,12 @@ struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
     open: bool,
-    /// Codec granted to this peer by accepting its hello (`None` until —
-    /// or ever, for a v1 peer that never sends one).
-    negotiated: Option<u8>,
-    /// Bytes queued for the peer (accept + acks), written opportunistically
-    /// with nonblocking writes so the engine never stalls on a peer.
+    /// Acks queued for the peer, written opportunistically with
+    /// nonblocking writes so the engine never stalls on a peer.
     out: Vec<u8>,
     /// The write side died (peer gone or closed). Control messages stop;
     /// the read side keeps draining whatever the peer already sent.
     write_dead: bool,
-    /// The peer has produced at least one data frame. While the consumer
-    /// is backpressured, greeted connections leave the poll set (their
-    /// bytes wait in TCP); ungreeted ones — fresh peers mid-handshake —
-    /// stay serviced so hellos are always answered promptly.
-    greeted: bool,
 }
 
 /// Cap on a connection's queued outbound control bytes. Acks beyond it
@@ -566,12 +486,12 @@ fn run(
     // though its fresh session always opens with a keyframe anyway.
     let mut chains = ChainStore::new();
     // Events the consumer had no channel room for. While non-empty the
-    // engine is backpressured: greeted connections pause, control stays
-    // live. Bounded in practice by one service burst per fresh peer.
+    // engine is backpressured: every connection pauses (its bytes wait in
+    // TCP) while accepts and acks stay live. Bounded in practice by one
+    // service round's events.
     let mut pending: VecDeque<Event> = VecDeque::new();
     // Round-robin origin for the per-round service order (see below).
     let mut rr: usize = 0;
-    let accept_v2 = cfg.codecs.contains(&wire::CODEC_V2);
     while !shutdown.load(Ordering::SeqCst) {
         // Retry parked events first, preserving delivery order.
         while let Some(ev) = pending.pop_front() {
@@ -585,10 +505,7 @@ fn run(
             }
         }
         let backpressured = !pending.is_empty();
-        let watch: Vec<bool> = conns
-            .iter()
-            .map(|c| !(backpressured && c.greeted))
-            .collect();
+        let watch = vec![!backpressured; conns.len()];
         let (waker_ready, listener_ready, conn_ready) =
             wait_ready(&wake_rx, &listener, &conns, &watch, cfg.tick);
         if waker_ready {
@@ -614,10 +531,10 @@ fn run(
             // poll will never announce them, so check explicitly.
             let leftover = !backpressured && conn.assembler.has_buffered();
             let flow = if *ready || leftover {
-                service(conn, &tx, &mut pending, &mut chains, &cfg)
+                service(conn, &tx, &mut pending, &mut chains)
             } else {
-                // Nothing to read (or paused); retry any queued
-                // accept/acks that hit WouldBlock earlier.
+                // Nothing to read (or paused); retry any queued acks
+                // that hit WouldBlock earlier.
                 conn.flush_out();
                 Flow::Keep
             };
@@ -653,12 +570,10 @@ fn run(
                         }
                         conns.push(Conn {
                             stream,
-                            assembler: FrameAssembler::new(cfg.max_payload, accept_v2),
+                            assembler: FrameAssembler::new(cfg.max_payload),
                             open: true,
-                            negotiated: None,
                             out: Vec::new(),
                             write_dead: false,
-                            greeted: false,
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -711,16 +626,14 @@ enum Drain {
 
 /// Decodes whatever complete frames sit in `conn`'s assembler, emitting
 /// their events, until the buffer runs dry, the framing turns fatal, or
-/// (with a cap) `cap` data events have been emitted. Hellos are answered
-/// and decoded v2 frames acked via the connection's out-buffer; neither
-/// counts against the cap. Returns the data events emitted and why the
+/// (with a cap) `cap` data events have been emitted. Decoded frames are
+/// acked via the connection's out-buffer. Returns the data events emitted and why the
 /// pass stopped.
 fn drain_steps(
     conn: &mut Conn,
     tx: &SyncSender<Event>,
     pending: &mut VecDeque<Event>,
     chains: &mut ChainStore,
-    cfg: &EngineConfig,
     cap: Option<usize>,
 ) -> (usize, Drain) {
     let mut emitted = 0usize;
@@ -730,32 +643,20 @@ fn drain_steps(
         }
         match conn.assembler.step(chains) {
             Step::Need => return (emitted, Drain::Paused),
-            Step::Hello(theirs) => {
-                let chosen = cfg.pick_codec(&theirs);
-                conn.negotiated = Some(chosen);
-                conn.queue(&wire::encode_accept(chosen));
-            }
             Step::Frame {
                 router_id,
                 interval,
                 snapshot,
                 frame_bytes,
-                codec,
                 delta,
             } => {
-                conn.greeted = true;
-                // Acks exist solely to unlock the sender's delta chain;
-                // a v1 frame on a v2 session (a replayed pre-upgrade
-                // backlog) needs none.
-                if conn.negotiated == Some(wire::CODEC_V2) && codec == wire::CODEC_V2 {
-                    conn.queue(&wire::encode_ack(interval));
-                }
+                // Acks exist solely to unlock the sender's delta chain.
+                conn.queue(&wire::encode_ack(interval));
                 let event = Event::Frame {
                     router_id,
                     interval,
                     snapshot,
                     frame_bytes,
-                    codec,
                     delta,
                 };
                 if !emit(tx, pending, event) {
@@ -765,7 +666,6 @@ fn drain_steps(
             }
             // Framing intact, payload bad: skip the frame.
             Step::Skip(e) => {
-                conn.greeted = true;
                 if !emit(tx, pending, Event::Rejected(e)) {
                     return (emitted, Drain::Exit);
                 }
@@ -773,7 +673,6 @@ fn drain_steps(
             }
             // Framing lost: drop the connection.
             Step::Fatal(e) => {
-                conn.greeted = true;
                 if !emit(tx, pending, Event::Rejected(e)) {
                     return (emitted, Drain::Exit);
                 }
@@ -800,13 +699,12 @@ fn service(
     tx: &SyncSender<Event>,
     pending: &mut VecDeque<Event>,
     chains: &mut ChainStore,
-    cfg: &EngineConfig,
 ) -> Flow {
     let mut chunk = [0u8; 64 * 1024];
     let mut flow = Flow::Keep;
     // Leftovers first: an earlier capped round may have left complete
     // frames in the assembler that no poll readiness will announce.
-    let spent = match drain_steps(conn, tx, pending, chains, cfg, Some(1)) {
+    let spent = match drain_steps(conn, tx, pending, chains, Some(1)) {
         (_, Drain::Exit) => return Flow::Exit,
         (_, Drain::Fatal) => {
             conn.flush_out();
@@ -819,7 +717,7 @@ fn service(
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     if matches!(
-                        drain_steps(conn, tx, pending, chains, cfg, None),
+                        drain_steps(conn, tx, pending, chains, None),
                         (_, Drain::Exit)
                     ) {
                         return Flow::Exit;
@@ -829,7 +727,7 @@ fn service(
                 }
                 Ok(n) => {
                     conn.assembler.extend(&chunk[..n]);
-                    match drain_steps(conn, tx, pending, chains, cfg, Some(1)) {
+                    match drain_steps(conn, tx, pending, chains, Some(1)) {
                         (_, Drain::Exit) => return Flow::Exit,
                         (_, Drain::Fatal) => {
                             flow = Flow::Close;
@@ -846,7 +744,7 @@ fn service(
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     if matches!(
-                        drain_steps(conn, tx, pending, chains, cfg, None),
+                        drain_steps(conn, tx, pending, chains, None),
                         (_, Drain::Exit)
                     ) {
                         return Flow::Exit;
@@ -857,7 +755,7 @@ fn service(
             }
         }
     }
-    // Push out whatever this round queued (accept, acks) — best effort;
+    // Push out whatever acks this round queued — best effort;
     // a dead write side never closes a connection that may still hold
     // readable frames.
     conn.flush_out();
@@ -884,7 +782,7 @@ mod tests {
         let mut doubled = frame.clone();
         doubled.extend_from_slice(&frame);
         for chunk_size in [1, 7, 36, 37, 1024] {
-            let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+            let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
             let mut chains = ChainStore::new();
             let mut frames = 0;
             for chunk in doubled.chunks(chunk_size) {
@@ -904,7 +802,6 @@ mod tests {
                             frames += 1;
                         }
                         Step::Skip(e) | Step::Fatal(e) => panic!("unexpected rejection: {e}"),
-                        Step::Hello(_) => panic!("no hello was sent"),
                     }
                 }
             }
@@ -916,7 +813,7 @@ mod tests {
     fn assembler_rejects_bad_magic_fatally() {
         let (mut frame, _) = sample_frame();
         frame[0] = b'X';
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
         let mut chains = ChainStore::new();
         asm.extend(&frame);
         assert!(matches!(
@@ -932,7 +829,7 @@ mod tests {
         let last = corrupted.len() - 1;
         corrupted[last] ^= 0xFF; // flip a payload byte: CRC mismatch
         corrupted.extend_from_slice(&frame); // a good frame follows
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
         let mut chains = ChainStore::new();
         asm.extend(&corrupted);
         assert!(matches!(asm.step(&mut chains), Step::Skip(_)));
@@ -940,68 +837,18 @@ mod tests {
         assert!(matches!(asm.step(&mut chains), Step::Need));
     }
 
-    /// A hello arriving in arbitrary fragments negotiates, and the same
-    /// bytes fed to a v1-only assembler die as bad magic — exactly how a
-    /// legacy collector would treat them.
+    /// A frame of the retired dense codec (version 1) is fatal: framing
+    /// cannot be trusted past a header this build does not speak.
     #[test]
-    fn hello_is_recognized_only_when_v2_is_enabled() {
-        let hello = wire::encode_hello(&[wire::CODEC_V2, wire::CODEC_V1]);
-        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
+    fn assembler_rejects_version_1_frames() {
+        let (mut frame, _) = sample_frame();
+        frame[4..8].copy_from_slice(&[1, 0, 0, 0]);
         let mut chains = ChainStore::new();
-        for &b in &hello[..hello.len() - 1] {
-            asm.extend(&[b]);
-            assert!(matches!(asm.step(&mut chains), Step::Need));
-        }
-        asm.extend(&hello[hello.len() - 1..]);
-        match asm.step(&mut chains) {
-            Step::Hello(codecs) => assert_eq!(codecs, vec![wire::CODEC_V2, wire::CODEC_V1]),
-            _ => panic!("expected a hello"),
-        }
-        // A frame following the hello still parses.
-        let (frame, _) = sample_frame();
+        let mut asm = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD);
         asm.extend(&frame);
-        assert!(matches!(asm.step(&mut chains), Step::Frame { .. }));
-
-        // A v1-only assembler buffers the bare hello (it is shorter than
-        // a frame header, so the agent-side accept timeout is what breaks
-        // the stalemate), and the moment enough bytes follow, the hello
-        // prefix is fatal bad magic — a legacy collector can never
-        // misparse it as a frame.
-        let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, false);
-        v1_only.extend(&hello);
-        assert!(matches!(v1_only.step(&mut chains), Step::Need));
-        let (frame, _) = sample_frame();
-        v1_only.extend(&frame);
         assert!(matches!(
-            v1_only.step(&mut chains),
-            Step::Fatal(WireError::BadMagic(_))
-        ));
-    }
-
-    /// A v2 frame fed to a v1-only assembler is an unsupported version.
-    #[test]
-    fn v1_only_assembler_rejects_v2_frames() {
-        let cfg = HiFindConfig::small(3);
-        let mut rec = SketchRecorder::new(&cfg).unwrap();
-        let snap = rec.take_snapshot();
-        let payload = crate::codec_v2::encode_keyframe(&snap);
-        let frame = wire::encode_frame_v2(9, 4, snap.fingerprint, &payload).unwrap();
-        let mut chains = ChainStore::new();
-        let mut v1_only = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, false);
-        v1_only.extend(&frame);
-        assert!(matches!(
-            v1_only.step(&mut chains),
-            Step::Fatal(WireError::UnsupportedVersion(2))
-        ));
-        let mut v2 = FrameAssembler::new(wire::DEFAULT_MAX_PAYLOAD, true);
-        v2.extend(&frame);
-        assert!(matches!(
-            v2.step(&mut chains),
-            Step::Frame {
-                codec: wire::CODEC_V2,
-                delta: false,
-                ..
-            }
+            asm.step(&mut chains),
+            Step::Fatal(WireError::UnsupportedVersion(1))
         ));
     }
 
@@ -1019,7 +866,6 @@ mod tests {
                 // A tick long enough that only the waker can explain a
                 // fast exit.
                 tick: Duration::from_secs(5),
-                codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
             },
         )
         .unwrap();

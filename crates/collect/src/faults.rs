@@ -318,11 +318,11 @@ fn accept_loop(
 }
 
 /// Relays one agent connection frame by frame until EOF, shutdown, or an
-/// injected/organic connection death. Collector-to-agent traffic (codec
-/// accepts and interval acks) relays back unfaulted through a paired
-/// thread: the fault model is about data frames, and a control channel
-/// this proxy silently ate would just demote every agent to v1 keyframes
-/// instead of exercising the chain under faults.
+/// injected/organic connection death. Collector-to-agent traffic
+/// (interval acks) relays back unfaulted through a paired thread: the
+/// fault model is about data frames, and an ack channel this proxy
+/// silently ate would just demote every agent to keyframes instead of
+/// exercising the delta chain under faults.
 fn relay_connection(mut downstream: TcpStream, upstream_addr: SocketAddr, conn: u64, sh: &Shared) {
     let _ = downstream.set_read_timeout(Some(Duration::from_millis(50)));
     let Ok(mut upstream) = TcpStream::connect_timeout(&upstream_addr, Duration::from_secs(5))
@@ -402,24 +402,6 @@ fn relay_forward(downstream: &mut TcpStream, upstream: &mut TcpStream, conn: u64
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
                 loop {
-                    // A codec hello is control traffic, not a frame: it
-                    // passes through whole and unfaulted (and uncounted),
-                    // exactly like the accept flowing the other way.
-                    if buf.starts_with(&wire::HELLO_MAGIC) {
-                        if buf.len() < 8 {
-                            break;
-                        }
-                        let count = usize::from(u16::from_le_bytes([buf[6], buf[7]]));
-                        let total = wire::HELLO_BASE_LEN + count;
-                        if buf.len() < total {
-                            break;
-                        }
-                        let hello: Vec<u8> = buf.drain(..total).collect();
-                        if upstream.write_all(&hello).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
                     if buf.len() < HEADER_LEN {
                         break;
                     }

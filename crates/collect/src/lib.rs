@@ -7,9 +7,12 @@
 //! one router had seen all traffic. The core crates prove that property
 //! in-process; this crate makes it *networked*:
 //!
-//! * [`codec`] — a compact binary encoding of [`hifind::IntervalSnapshot`]
+//! * [`codec`] — a dense binary encoding of [`hifind::IntervalSnapshot`]
 //!   (zig-zag varint counters; mostly-zero sketch grids shrink by an order
-//!   of magnitude versus their in-memory size).
+//!   of magnitude versus their in-memory size): the blob format of
+//!   archived history segments.
+//! * [`codec_v2`] — the wire payload: per-stage sparse encoding plus
+//!   ack-gated deltas against an interval the collector has acked.
 //! * [`wire`] — versioned, length-prefixed, CRC-checked framing with the
 //!   record-plane configuration fingerprint in every header, so a
 //!   mis-seeded router is rejected before its counters can poison the sum.
@@ -72,7 +75,7 @@ pub use collector::{
 };
 pub use faults::{FaultPlan, FaultProxy, FaultStats};
 pub use observer::CollectObserver;
-pub use ship::{BacklogFrame, ShipConfig, Shipper};
+pub use ship::{ShipConfig, Shipper};
 pub use wire::{FrameHeader, WireError, HEADER_LEN, PROTOCOL_VERSION};
 
 /// Any failure in the collection subsystem.

@@ -5,24 +5,15 @@
 //! costs a capped, predictable stall per interval at every tier, never a
 //! hang.
 //!
-//! # Codec negotiation
+//! # Acks and the delta chain
 //!
-//! A shipper that offers [`wire::CODEC_V2`] opens every connection with
-//! a hello and waits briefly for the collector's accept. A v1-only
-//! collector kills the connection instead (the hello is bad magic to
-//! it); the shipper notices — EOF or timeout — falls back to v1 for
-//! this address, and reconnects without a hello. Interop is therefore
-//! automatic in both directions: v1 agents never send hellos, and v2
-//! collectors accept bare v1 frames from the first byte.
-//!
-//! On a v2 session the collector acks each interval it decodes; those
-//! acks gate the delta chain (see [`crate::codec_v2`]): a snapshot is
+//! Every frame is codec v2 ([`crate::codec_v2`]). The collector acks each
+//! interval it decodes; those acks gate the delta chain: a snapshot is
 //! shipped as residuals only against a baseline the collector provably
 //! holds, so no drop, reorder, or restart can ever leave a frame
 //! undecodable. Backlogged delta frames carry their standalone keyframe
-//! twin, which replaces them after any reconnect — and is transcoded
-//! down to a v1 frame if the session renegotiates to v1 (an agent
-//! resuming its pre-upgrade checkpoint against a downgraded collector).
+//! twin, which replaces them after any reconnect and is what checkpoints
+//! persist.
 
 use crate::agent::{AgentError, AgentStats, ShipReport};
 use crate::codec_v2::SnapshotEncoder;
@@ -50,10 +41,6 @@ pub struct ShipConfig {
     pub max_backoff: Duration,
     /// Socket connect and write timeout.
     pub io_timeout: Duration,
-    /// Codec ids this sender offers, in preference order. Without
-    /// [`wire::CODEC_V2`] no hello is ever sent and every frame is plain
-    /// v1 — byte-for-byte a legacy agent.
-    pub codecs: Vec<u8>,
 }
 
 impl Default for ShipConfig {
@@ -64,26 +51,12 @@ impl Default for ShipConfig {
             initial_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             io_timeout: Duration::from_secs(5),
-            codecs: vec![wire::CODEC_V2, wire::CODEC_V1],
         }
     }
 }
 
-/// One checkpointable backlog frame: the bytes to (re)ship plus the
-/// codec they are encoded in, so a resumed agent can renegotiate and
-/// transcode instead of replaying frames the new session cannot decode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BacklogFrame {
-    /// [`wire::CODEC_V1`] or [`wire::CODEC_V2`].
-    pub codec: u8,
-    /// A complete standalone frame (header + payload, never a delta).
-    pub frame: Vec<u8>,
-}
-
 /// A queued frame awaiting shipment.
 struct Entry {
-    /// Codec of `frame` as queued.
-    codec: u8,
     /// The frame to write on the current connection.
     frame: Vec<u8>,
     /// For delta frames: the standalone keyframe twin that replaces
@@ -99,12 +72,6 @@ impl Entry {
     }
 }
 
-/// How long to wait for the collector's accept before concluding the
-/// peer is a v1 build (which closes the connection on our hello instead
-/// of answering). Bounded separately from `io_timeout` so a legacy
-/// upstream costs a short, one-time stall — remembered per address.
-const ACCEPT_WAIT: Duration = Duration::from_millis(1500);
-
 /// Ships encoded frames to one upstream address on behalf of node `id`
 /// (a router id or an aggregator node id — whoever owns the frames).
 pub struct Shipper {
@@ -116,17 +83,11 @@ pub struct Shipper {
     connected_before: bool,
     stats: AgentStats,
     observer: Option<Arc<dyn CollectObserver>>,
-    /// Codec granted by the current connection's negotiation (v1 when no
-    /// hello was sent); `None` while disconnected.
-    session: Option<u8>,
-    /// Set once this address proved to be a v1-only collector; suppresses
-    /// further hellos until the address changes.
-    v1_fallback: bool,
     /// Highest interval the collector acked on this connection.
     last_acked: Option<u64>,
     /// Partial ack bytes carried between nonblocking reads.
     ack_buf: Vec<u8>,
-    /// Keyframe/delta state for v2 encoding.
+    /// Keyframe/delta state of the encoder.
     encoder: SnapshotEncoder,
 }
 
@@ -136,7 +97,7 @@ impl std::fmt::Debug for Shipper {
             .field("addr", &self.addr)
             .field("id", &self.id)
             .field("backlog", &self.backlog.len())
-            .field("session", &self.session)
+            .field("connected", &self.stream.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -154,8 +115,6 @@ impl Shipper {
             connected_before: false,
             stats: AgentStats::default(),
             observer: None,
-            session: None,
-            v1_fallback: false,
             last_acked: None,
             ack_buf: Vec::new(),
             encoder: SnapshotEncoder::default(),
@@ -176,16 +135,9 @@ impl Shipper {
     /// Points the shipper at a different upstream address (e.g. a
     /// restarted site on a new port). Any open connection is dropped; the
     /// backlog is kept and ships to the new address on the next flush.
-    /// Codec negotiation starts over — the new site may speak v2 even if
-    /// the old one did not.
     pub fn set_addr(&mut self, addr: impl Into<String>) {
         self.addr = addr.into();
-        self.v1_fallback = false;
         self.drop_stream();
-    }
-
-    fn offers_v2(&self) -> bool {
-        self.cfg.codecs.contains(&wire::CODEC_V2)
     }
 
     /// Drops the connection and every piece of per-session state: the
@@ -194,7 +146,6 @@ impl Shipper {
     /// encoder restarts from a keyframe.
     fn drop_stream(&mut self) {
         self.stream = None;
-        self.session = None;
         self.last_acked = None;
         self.ack_buf.clear();
         self.encoder.reset();
@@ -205,13 +156,13 @@ impl Shipper {
         }
     }
 
-    /// Encodes `snapshot` for `interval` in the best codec the current
-    /// (or prospective) session allows and queues it. Returns the flush
-    /// outcome, like the old frame-level path did.
+    /// Encodes `snapshot` for `interval` — a delta when the live session
+    /// acked a baseline, a keyframe otherwise — and queues it. Returns the
+    /// flush outcome.
     pub fn ship_snapshot(&mut self, interval: u64, snapshot: &IntervalSnapshot) -> ShipReport {
         let mut dropped = 0;
         match self.encode_entry(interval, snapshot) {
-            Some(entry) => dropped += self.enqueue_entry(entry),
+            Some(entry) => dropped += self.enqueue(entry),
             None => {
                 self.count_unframeable();
                 dropped += 1;
@@ -223,67 +174,30 @@ impl Shipper {
     }
 
     fn encode_entry(&mut self, interval: u64, snapshot: &IntervalSnapshot) -> Option<Entry> {
-        if self.offers_v2() && !self.v1_fallback {
-            // Deltas only against an interval the live session acked;
-            // anywhere short of that, `encode` falls back to a keyframe
-            // on its own.
-            let acked = if self.session == Some(wire::CODEC_V2) {
-                self.drain_acks();
-                self.last_acked
-            } else {
-                None
-            };
-            let encoded = self.encoder.encode(interval, snapshot, acked);
-            let frame =
-                wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.payload)
-                    .ok()?;
-            let standalone = if encoded.is_delta {
-                self.stats.frames_v2_deltas += 1;
-                Some(
-                    wire::encode_frame_v2(
-                        self.id,
-                        interval,
-                        snapshot.fingerprint,
-                        &encoded.keyframe,
-                    )
+        // Deltas only against an interval the live session acked;
+        // anywhere short of that (no connection, no ack yet), `encode`
+        // falls back to a keyframe on its own.
+        self.drain_acks();
+        let encoded = self.encoder.encode(interval, snapshot, self.last_acked);
+        let frame =
+            wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.payload)
+                .ok()?;
+        let standalone = if encoded.is_delta {
+            self.stats.frames_v2_deltas += 1;
+            Some(
+                wire::encode_frame_v2(self.id, interval, snapshot.fingerprint, &encoded.keyframe)
                     .ok()?,
-                )
-            } else {
-                self.stats.frames_v2_keyframes += 1;
-                None
-            };
-            Some(Entry {
-                codec: wire::CODEC_V2,
-                frame,
-                standalone,
-            })
+            )
         } else {
-            let frame = wire::encode_frame(self.id, interval, snapshot).ok()?;
-            Some(Entry {
-                codec: wire::CODEC_V1,
-                frame,
-                standalone: None,
-            })
-        }
-    }
-
-    /// Queues one pre-encoded standalone frame (the codec is read off its
-    /// header), evicting the oldest on overflow (fresher intervals matter
-    /// more to detection). Returns how many frames were evicted.
-    pub fn enqueue(&mut self, frame: Vec<u8>) -> usize {
-        let codec = if frame.len() > 6 && frame[4] == 2 {
-            wire::CODEC_V2
-        } else {
-            wire::CODEC_V1
+            self.stats.frames_v2_keyframes += 1;
+            None
         };
-        self.enqueue_entry(Entry {
-            codec,
-            frame,
-            standalone: None,
-        })
+        Some(Entry { frame, standalone })
     }
 
-    fn enqueue_entry(&mut self, entry: Entry) -> usize {
+    /// Queues `entry`, evicting the oldest on overflow (fresher intervals
+    /// matter more to detection). Returns how many frames were evicted.
+    fn enqueue(&mut self, entry: Entry) -> usize {
         self.stats.frames_enqueued += 1;
         let mut dropped = 0;
         while self.backlog.len() >= self.cfg.max_backlog_frames.max(1) {
@@ -311,7 +225,7 @@ impl Shipper {
         let mut backoff = self.cfg.initial_backoff;
         while !self.backlog.is_empty() {
             if self.stream.is_none() {
-                match self.connect_negotiated() {
+                match self.connect() {
                     Ok(stream) => {
                         if self.connected_before {
                             self.stats.reconnects += 1;
@@ -321,9 +235,6 @@ impl Shipper {
                         }
                         self.connected_before = true;
                         self.stream = Some(stream);
-                        if self.session != Some(wire::CODEC_V2) {
-                            self.downgrade_backlog_to_v1();
-                        }
                     }
                     Err(_) => {
                         self.stats.send_failures += 1;
@@ -363,37 +274,9 @@ impl Shipper {
                 }
             }
         }
-        if self.session == Some(wire::CODEC_V2) {
-            self.drain_acks();
-        }
+        self.drain_acks();
         report.queued = self.backlog.len();
         report
-    }
-
-    /// Rewrites every queued v2 frame as a v1 frame, for a session that
-    /// negotiated (or fell back to) v1. Frames that cannot be transcoded
-    /// are dropped and counted, never shipped undecodable.
-    fn downgrade_backlog_to_v1(&mut self) {
-        let mut kept = VecDeque::with_capacity(self.backlog.len());
-        for mut entry in self.backlog.drain(..) {
-            if entry.codec == wire::CODEC_V1 {
-                kept.push_back(entry);
-                continue;
-            }
-            match wire::transcode_frame_v2_to_v1(entry.standalone_frame()) {
-                Ok(frame) => {
-                    self.stats.frames_transcoded += 1;
-                    entry.codec = wire::CODEC_V1;
-                    entry.frame = frame;
-                    entry.standalone = None;
-                    kept.push_back(entry);
-                }
-                Err(_) => {
-                    self.stats.frames_dropped += 1;
-                }
-            }
-        }
-        self.backlog = kept;
     }
 
     /// Writes the front frame of the backlog, returning the bytes shipped
@@ -407,59 +290,6 @@ impl Shipper {
         let bytes = u64::try_from(entry.frame.len()).unwrap_or(u64::MAX);
         self.backlog.pop_front();
         Ok(bytes)
-    }
-
-    /// Connects, and on a fresh v2-offering session performs the hello
-    /// handshake — falling back to a plain v1 connection (remembered for
-    /// this address) when the collector does not answer it.
-    fn connect_negotiated(&mut self) -> std::io::Result<TcpStream> {
-        let stream = self.connect()?;
-        if !self.offers_v2() || self.v1_fallback {
-            self.session = Some(wire::CODEC_V1);
-            return Ok(stream);
-        }
-        match self.hello_handshake(&stream) {
-            Ok(codec) => {
-                self.session = Some(codec);
-                Ok(stream)
-            }
-            Err(_) => {
-                // A v1 collector treats our hello as bad magic and kills
-                // the connection. Remember, reconnect, speak v1.
-                drop(stream);
-                self.v1_fallback = true;
-                self.session = Some(wire::CODEC_V1);
-                self.connect()
-            }
-        }
-    }
-
-    /// Sends the hello and reads the accept, under a bounded wait.
-    fn hello_handshake(&self, stream: &TcpStream) -> std::io::Result<u8> {
-        let mut s = stream;
-        s.write_all(&wire::encode_hello(&self.cfg.codecs))?;
-        stream.set_read_timeout(Some(ACCEPT_WAIT.min(self.cfg.io_timeout)))?;
-        let mut accept = [0u8; wire::ACCEPT_LEN];
-        let outcome = (|| {
-            let mut filled = 0;
-            while filled < accept.len() {
-                match s.read(&mut accept[filled..]) {
-                    Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof)),
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            let codec = wire::parse_accept(&accept)
-                .map_err(|_| std::io::Error::from(std::io::ErrorKind::InvalidData))?;
-            if self.cfg.codecs.contains(&codec) {
-                Ok(codec)
-            } else {
-                Err(std::io::Error::from(std::io::ErrorKind::InvalidData))
-            }
-        })();
-        stream.set_read_timeout(None)?;
-        outcome
     }
 
     /// Reads whatever acks the collector has sent without ever blocking;
@@ -523,25 +353,21 @@ impl Shipper {
         self.backlog.len()
     }
 
-    /// The still-unshipped frames in checkpointable form: standalone
-    /// (never delta), tagged with their codec.
-    pub fn backlog_frames(&self) -> Vec<BacklogFrame> {
+    /// The still-unshipped frames in checkpointable form: complete
+    /// standalone frames, never deltas.
+    pub fn backlog_frames(&self) -> Vec<Vec<u8>> {
         self.backlog
             .iter()
-            .map(|entry| BacklogFrame {
-                codec: entry.codec,
-                frame: entry.standalone_frame().clone(),
-            })
+            .map(|entry| entry.standalone_frame().clone())
             .collect()
     }
 
     /// Replaces the backlog with checkpointed frames.
-    pub fn restore_backlog(&mut self, frames: &[BacklogFrame]) {
+    pub fn restore_backlog(&mut self, frames: &[Vec<u8>]) {
         self.backlog = frames
             .iter()
-            .map(|f| Entry {
-                codec: f.codec,
-                frame: f.frame.clone(),
+            .map(|frame| Entry {
+                frame: frame.clone(),
                 standalone: None,
             })
             .collect();
@@ -552,37 +378,35 @@ impl Shipper {
         &self.stats
     }
 
-    /// Closes the connection gracefully. On a v2 session the collector
-    /// acks intervals as it *decodes* them, which can trail our last
-    /// write by however deep its queue runs; dropping the socket
-    /// outright would answer a late ack with an RST — and an RST
-    /// discards every shipped frame the collector had not yet read from
-    /// its receive buffer. So: shut down the write side (the collector
-    /// sees a clean EOF after our last frame) and hand the read side to
-    /// a detached drain that sinks acks until the collector closes.
-    /// Never blocks; the backlog and stats stay.
+    /// Closes the connection gracefully. The collector acks intervals as
+    /// it *decodes* them, which can trail our last write by however deep
+    /// its queue runs; dropping the socket outright would answer a late
+    /// ack with an RST — and an RST discards every shipped frame the
+    /// collector had not yet read from its receive buffer. So: shut down
+    /// the write side (the collector sees a clean EOF after our last
+    /// frame) and hand the read side to a detached drain that sinks acks
+    /// until the collector closes. Never blocks; the backlog and stats
+    /// stay.
     pub fn close(&mut self) {
         if let Some(stream) = self.stream.take() {
             let _ = stream.shutdown(std::net::Shutdown::Write);
-            if self.session == Some(wire::CODEC_V2) {
-                let _ = std::thread::Builder::new()
-                    .name("hifind-ack-drain".into())
-                    .spawn(move || {
-                        // The backstop timeout only matters if the
-                        // collector neither acks nor closes for this
-                        // long — then late-ack loss is moot anyway.
-                        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                        let mut s = &stream;
-                        let mut sink = [0u8; 1024];
-                        loop {
-                            match s.read(&mut sink) {
-                                Ok(n) if n > 0 => {}
-                                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                                _ => break,
-                            }
+            let _ = std::thread::Builder::new()
+                .name("hifind-ack-drain".into())
+                .spawn(move || {
+                    // The backstop timeout only matters if the collector
+                    // neither acks nor closes for this long — then
+                    // late-ack loss is moot anyway.
+                    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+                    let mut s = &stream;
+                    let mut sink = [0u8; 1024];
+                    loop {
+                        match s.read(&mut sink) {
+                            Ok(n) if n > 0 => {}
+                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                            _ => break,
                         }
-                    });
-            }
+                    }
+                });
         }
         self.drop_stream();
     }

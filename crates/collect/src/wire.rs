@@ -5,29 +5,28 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic "HFS1"
-//!      4     2  protocol version (little-endian, 1 or 2)
-//!      6     1  version 1: reserved, must be zero · version 2: codec id
+//!      4     2  protocol version (little-endian, 2)
+//!      6     1  codec id (2: [`crate::codec_v2`])
 //!      7     1  reserved, must be zero
 //!      8     4  router id
 //!     12     8  interval index
 //!     20     8  record-plane configuration fingerprint
 //!     28     4  payload length in bytes
 //!     32     4  CRC32 (IEEE) over the payload
-//!     36     …  payload: [`crate::codec`] (v1) or [`crate::codec_v2`]
+//!     36     …  payload: a [`crate::codec_v2`] keyframe or delta
 //! ```
 //!
 //! The fingerprint ([`hifind::HiFindConfig::fingerprint`]) rides in the
 //! header so a collector can reject a mis-configured router from the
 //! first 36 bytes, without decoding (or even receiving) megabytes of
-//! counters recorded under the wrong hash functions.
+//! counters recorded under the wrong hash functions. A version-1 header
+//! (the retired dense codec) is rejected as
+//! [`WireError::UnsupportedVersion`].
 //!
-//! Version 2 sessions additionally exchange three fixed control
-//! messages: the agent's `HFSH` hello advertising its codecs, the
-//! collector's `HFSA` accept naming the chosen one, and per-interval
-//! `HFKA` acks that gate the sender's delta chain (see
-//! [`crate::codec_v2`]). A v1 peer never sends or expects any of them.
+//! The only control message is the collector's per-interval `HFKA` ack,
+//! which gates the sender's delta chain (see [`crate::codec_v2`]).
 
-use crate::codec::{self, CodecError};
+use crate::codec::CodecError;
 use crate::codec_v2::{self, ChainStore};
 use hifind::IntervalSnapshot;
 use std::io::Read;
@@ -35,39 +34,19 @@ use std::io::Read;
 /// Frame magic: HiFIND Snapshot, format 1.
 pub const MAGIC: [u8; 4] = *b"HFS1";
 
-/// Current protocol version.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// The protocol version every frame carries.
+pub const PROTOCOL_VERSION: u16 = 2;
 
-/// Protocol version carrying codec-v2 payloads.
-pub const PROTOCOL_VERSION_2: u16 = 2;
-
-/// Codec id of the dense v1 snapshot encoding ([`crate::codec`]).
-pub const CODEC_V1: u8 = 1;
-
-/// Codec id of the sparse/delta v2 encoding ([`crate::codec_v2`]).
+/// Codec id of the sparse/delta encoding ([`crate::codec_v2`]), the one
+/// payload codec.
 pub const CODEC_V2: u8 = 2;
 
-/// Hello magic: HiFIND Snapshot Hello (agent → collector, once per
-/// connection, before any frame).
-pub const HELLO_MAGIC: [u8; 4] = *b"HFSH";
-
-/// Accept magic: HiFIND Snapshot Accept (collector → agent, the reply to
-/// a hello).
-pub const ACCEPT_MAGIC: [u8; 4] = *b"HFSA";
-
 /// Ack magic: HiFIND frame acKnowledgement (collector → agent, one per
-/// decoded interval on v2 sessions).
+/// decoded interval).
 pub const ACK_MAGIC: [u8; 4] = *b"HFKA";
-
-/// Size of an encoded accept message.
-pub const ACCEPT_LEN: usize = 8;
 
 /// Size of an encoded ack message.
 pub const ACK_LEN: usize = 12;
-
-/// Hello framing overhead (magic + version + count + trailing CRC);
-/// the full message is this plus one byte per advertised codec.
-pub const HELLO_BASE_LEN: usize = 12;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 36;
@@ -79,11 +58,8 @@ pub const DEFAULT_MAX_PAYLOAD: u32 = 64 << 20;
 /// A parsed frame header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Protocol version ([`PROTOCOL_VERSION`] or [`PROTOCOL_VERSION_2`]).
+    /// Protocol version (always [`PROTOCOL_VERSION`] once parsed).
     pub version: u16,
-    /// Payload codec id: [`CODEC_V1`] for version-1 headers, the header's
-    /// codec byte (validated) for version 2.
-    pub codec: u8,
     /// Sender's router id.
     pub router_id: u32,
     /// Interval index the payload snapshot covers.
@@ -118,13 +94,13 @@ pub enum WireError {
     BadMagic([u8; 4]),
     /// A protocol version this build does not speak.
     UnsupportedVersion(u16),
-    /// A version-1 header whose reserved bytes were not zero. Rejected so
-    /// the field can carry meaning (the codec id) in later versions
-    /// without old garbage round-tripping as a valid frame.
-    ReservedBytes(u16),
-    /// A version-2 header naming a codec this build does not implement.
+    /// A header whose reserved byte was not zero. Rejected so the byte
+    /// can carry meaning in later versions without old garbage
+    /// round-tripping as a valid frame.
+    ReservedBytes(u8),
+    /// A header naming a codec this build does not implement.
     UnknownCodec(u8),
-    /// A malformed hello/accept/ack control message.
+    /// A malformed ack control message.
     BadControl { at: &'static str },
     /// The header declares a payload beyond the configured cap.
     PayloadTooLarge { len: u32, max: u32 },
@@ -154,10 +130,7 @@ impl std::fmt::Display for WireError {
                 )
             }
             WireError::ReservedBytes(v) => {
-                write!(
-                    f,
-                    "version-1 reserved header bytes must be zero, got {v:#06x}"
-                )
+                write!(f, "reserved header byte must be zero, got {v:#04x}")
             }
             WireError::UnknownCodec(c) => write!(f, "unknown codec id {c}"),
             WireError::BadControl { at } => write!(f, "malformed control message: {at}"),
@@ -233,8 +206,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Encodes `snapshot` as one complete frame (header + payload) from
-/// `router_id` for `interval`.
+/// Encodes `snapshot` as one complete standalone frame (header + v2
+/// keyframe payload) from `router_id` for `interval`.
 ///
 /// # Errors
 ///
@@ -246,25 +219,13 @@ pub fn encode_frame(
     interval: u64,
     snapshot: &IntervalSnapshot,
 ) -> Result<Vec<u8>, WireError> {
-    let payload = codec::encode_snapshot(snapshot);
-    let payload_len = u32::try_from(payload.len())
-        .map_err(|_| WireError::OversizedSnapshot { len: payload.len() })?;
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    frame.extend_from_slice(&0u16.to_le_bytes());
-    frame.extend_from_slice(&router_id.to_le_bytes());
-    frame.extend_from_slice(&interval.to_le_bytes());
-    frame.extend_from_slice(&snapshot.fingerprint.to_le_bytes());
-    frame.extend_from_slice(&payload_len.to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
+    let payload = codec_v2::encode_keyframe(snapshot);
+    encode_frame_v2(router_id, interval, snapshot.fingerprint, &payload)
 }
 
 /// Encodes an already-serialized [`crate::codec_v2`] payload as one
-/// complete version-2 frame. The payload's keyframe/delta nature lives
-/// in its own flag byte; the header only names the codec.
+/// complete frame. The payload's keyframe/delta nature lives in its own
+/// flag byte; the header only names the codec.
 ///
 /// # Errors
 ///
@@ -280,7 +241,7 @@ pub fn encode_frame_v2(
         .map_err(|_| WireError::OversizedSnapshot { len: payload.len() })?;
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&PROTOCOL_VERSION_2.to_le_bytes());
+    frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     frame.push(CODEC_V2);
     frame.push(0u8);
     frame.extend_from_slice(&router_id.to_le_bytes());
@@ -290,81 +251,6 @@ pub fn encode_frame_v2(
     frame.extend_from_slice(&crc32(payload).to_le_bytes());
     frame.extend_from_slice(payload);
     Ok(frame)
-}
-
-/// Encodes the agent hello advertising `codecs` (in preference order).
-///
-/// Layout: `"HFSH"` · version `u16` (1) · count `u16` · count × codec
-/// byte · CRC32 over everything before it.
-pub fn encode_hello(codecs: &[u8]) -> Vec<u8> {
-    let count = u16::try_from(codecs.len()).unwrap_or(u16::MAX);
-    let codecs = &codecs[..usize::from(count)];
-    let mut msg = Vec::with_capacity(HELLO_BASE_LEN + codecs.len());
-    msg.extend_from_slice(&HELLO_MAGIC);
-    msg.extend_from_slice(&1u16.to_le_bytes());
-    msg.extend_from_slice(&count.to_le_bytes());
-    msg.extend_from_slice(codecs);
-    let crc = crc32(&msg);
-    msg.extend_from_slice(&crc.to_le_bytes());
-    msg
-}
-
-/// Parses a complete hello message into its advertised codec list.
-///
-/// # Errors
-///
-/// [`WireError::BadControl`] for wrong magic/version/length and
-/// [`WireError::CrcMismatch`] for a corrupted body.
-pub fn parse_hello(msg: &[u8]) -> Result<Vec<u8>, WireError> {
-    if msg.len() < HELLO_BASE_LEN || msg[..4] != HELLO_MAGIC {
-        return Err(WireError::BadControl { at: "hello header" });
-    }
-    if u16::from_le_bytes([msg[4], msg[5]]) != 1 {
-        return Err(WireError::BadControl {
-            at: "hello version",
-        });
-    }
-    let count = usize::from(u16::from_le_bytes([msg[6], msg[7]]));
-    if msg.len() != HELLO_BASE_LEN + count {
-        return Err(WireError::BadControl { at: "hello length" });
-    }
-    let body = &msg[..HELLO_BASE_LEN + count - 4];
-    let expected = u32::from_le_bytes([
-        msg[msg.len() - 4],
-        msg[msg.len() - 3],
-        msg[msg.len() - 2],
-        msg[msg.len() - 1],
-    ]);
-    let got = crc32(body);
-    if got != expected {
-        return Err(WireError::CrcMismatch { expected, got });
-    }
-    Ok(msg[8..8 + count].to_vec())
-}
-
-/// Encodes the collector's accept naming the chosen codec.
-pub fn encode_accept(codec: u8) -> [u8; ACCEPT_LEN] {
-    let mut msg = [0u8; ACCEPT_LEN];
-    msg[..4].copy_from_slice(&ACCEPT_MAGIC);
-    msg[4] = codec;
-    msg
-}
-
-/// Parses an accept message into the chosen codec id.
-///
-/// # Errors
-///
-/// [`WireError::BadControl`] for wrong magic or non-zero padding.
-pub fn parse_accept(msg: &[u8; ACCEPT_LEN]) -> Result<u8, WireError> {
-    if msg[..4] != ACCEPT_MAGIC {
-        return Err(WireError::BadControl { at: "accept magic" });
-    }
-    if msg[5..] != [0, 0, 0] {
-        return Err(WireError::BadControl {
-            at: "accept padding",
-        });
-    }
-    Ok(msg[4])
 }
 
 /// Encodes the collector's per-interval ack.
@@ -425,28 +311,17 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<FrameH
         return Err(WireError::BadMagic(magic));
     }
     let version = le_u16(bytes, 4);
-    let codec = match version {
-        PROTOCOL_VERSION => {
-            // The reserved bytes were always written as zero; anything
-            // else is either corruption or a future format this build
-            // cannot interpret — reject rather than silently accept.
-            let reserved = le_u16(bytes, 6);
-            if reserved != 0 {
-                return Err(WireError::ReservedBytes(reserved));
-            }
-            CODEC_V1
-        }
-        PROTOCOL_VERSION_2 => {
-            if bytes[7] != 0 {
-                return Err(WireError::ReservedBytes(le_u16(bytes, 6)));
-            }
-            match bytes[6] {
-                CODEC_V2 => CODEC_V2,
-                other => return Err(WireError::UnknownCodec(other)),
-            }
-        }
-        other => return Err(WireError::UnsupportedVersion(other)),
-    };
+    if version != PROTOCOL_VERSION {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    if bytes[6] != CODEC_V2 {
+        return Err(WireError::UnknownCodec(bytes[6]));
+    }
+    // The reserved byte is always written as zero; anything else is
+    // either corruption or a future format this build cannot interpret.
+    if bytes[7] != 0 {
+        return Err(WireError::ReservedBytes(bytes[7]));
+    }
     let payload_len = le_u32(bytes, 28);
     if payload_len > max_payload {
         return Err(WireError::PayloadTooLarge {
@@ -456,45 +331,12 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<FrameH
     }
     Ok(FrameHeader {
         version,
-        codec,
         router_id: le_u32(bytes, 8),
         interval: le_u64(bytes, 12),
         fingerprint: le_u64(bytes, 20),
         payload_len,
         crc32: le_u32(bytes, 32),
     })
-}
-
-/// Validates `payload` against `header` (CRC, then codec, then the
-/// header/payload fingerprint cross-check) and decodes the snapshot.
-///
-/// # Errors
-///
-/// Every corruption mode maps to a distinct [`WireError`] variant; no
-/// input panics.
-pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<IntervalSnapshot, WireError> {
-    let expected = header.payload_len_usize()?;
-    if payload.len() != expected {
-        return Err(WireError::TruncatedFrame {
-            expected,
-            got: payload.len(),
-        });
-    }
-    let got = crc32(payload);
-    if got != header.crc32 {
-        return Err(WireError::CrcMismatch {
-            expected: header.crc32,
-            got,
-        });
-    }
-    let snapshot = codec::decode_snapshot(payload)?;
-    if snapshot.fingerprint != header.fingerprint {
-        return Err(WireError::FingerprintMismatch {
-            header: header.fingerprint,
-            payload: snapshot.fingerprint,
-        });
-    }
-    Ok(snapshot)
 }
 
 /// Length and CRC checks shared by both payload decoders.
@@ -516,7 +358,34 @@ fn check_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), WireError> 
     Ok(())
 }
 
-/// Validates and decodes a version-2 payload through the receiver's
+/// The header/payload fingerprint cross-check shared by both decoders.
+fn check_fingerprint(header: &FrameHeader, snapshot: &IntervalSnapshot) -> Result<(), WireError> {
+    if snapshot.fingerprint != header.fingerprint {
+        return Err(WireError::FingerprintMismatch {
+            header: header.fingerprint,
+            payload: snapshot.fingerprint,
+        });
+    }
+    Ok(())
+}
+
+/// Validates `payload` against `header` (CRC, then codec, then the
+/// header/payload fingerprint cross-check) and decodes it as a standalone
+/// keyframe — no delta chain state needed.
+///
+/// # Errors
+///
+/// Every corruption mode maps to a distinct [`WireError`] variant; no
+/// input panics. A delta payload fails with a typed
+/// [`CodecError::DeltaShapeMismatch`].
+pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<IntervalSnapshot, WireError> {
+    check_payload(header, payload)?;
+    let snapshot = codec_v2::decode_keyframe(payload)?;
+    check_fingerprint(header, &snapshot)?;
+    Ok(snapshot)
+}
+
+/// Validates and decodes a payload through the receiver's
 /// delta chain state. Returns the snapshot and whether the wire form was
 /// a delta.
 ///
@@ -533,40 +402,8 @@ pub fn decode_payload_v2(
 ) -> Result<(IntervalSnapshot, bool), WireError> {
     check_payload(header, payload)?;
     let decoded = chains.decode(header.router_id, header.interval, payload)?;
-    if decoded.snapshot.fingerprint != header.fingerprint {
-        return Err(WireError::FingerprintMismatch {
-            header: header.fingerprint,
-            payload: decoded.snapshot.fingerprint,
-        });
-    }
+    check_fingerprint(header, &decoded.snapshot)?;
     Ok((decoded.snapshot, decoded.was_delta))
-}
-
-/// Re-encodes a complete v2 **keyframe** frame as a v1 frame with the
-/// same header identity — how a backlog entry captured under a v2
-/// session is shipped after renegotiating down to v1.
-///
-/// # Errors
-///
-/// Propagates header/payload validation errors; a delta frame (which
-/// callers never hold — backlogs retain standalone forms only) fails
-/// with a typed [`CodecError::DeltaShapeMismatch`].
-pub fn transcode_frame_v2_to_v1(frame: &[u8]) -> Result<Vec<u8>, WireError> {
-    if frame.len() < HEADER_LEN {
-        return Err(WireError::TruncatedFrame {
-            expected: HEADER_LEN,
-            got: frame.len(),
-        });
-    }
-    let mut header_bytes = [0u8; HEADER_LEN];
-    header_bytes.copy_from_slice(&frame[..HEADER_LEN]);
-    let header = parse_header(&header_bytes, DEFAULT_MAX_PAYLOAD)?;
-    if header.version != PROTOCOL_VERSION_2 {
-        return Ok(frame.to_vec());
-    }
-    check_payload(&header, &frame[HEADER_LEN..])?;
-    let snapshot = codec_v2::decode_keyframe(&frame[HEADER_LEN..])?;
-    encode_frame(header.router_id, header.interval, &snapshot)
 }
 
 /// Reads one frame from a blocking stream.
@@ -733,21 +570,14 @@ mod tests {
         ));
     }
 
-    /// Regression: the reserved bytes used to be ignored on decode, so
-    /// garbage there round-tripped silently — which would have made
-    /// repurposing them as the codec id a wire break.
+    /// The retired dense codec's frames (version 1) are refused from the
+    /// header alone, before any payload is read.
     #[test]
-    fn nonzero_reserved_bytes_are_rejected_in_v1() {
+    fn version_1_frames_are_rejected() {
         let mut frame = encode_frame(1, 0, &snapshot(11)).unwrap();
-        frame[6] = 0xAB;
+        frame[4..8].copy_from_slice(&[1, 0, 0, 0]);
         let err = read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).unwrap_err();
-        assert!(matches!(err, WireError::ReservedBytes(0x00AB)), "{err}");
-        let mut frame = encode_frame(1, 0, &snapshot(11)).unwrap();
-        frame[7] = 1;
-        assert!(matches!(
-            read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).unwrap_err(),
-            WireError::ReservedBytes(0x0100)
-        ));
+        assert!(matches!(err, WireError::UnsupportedVersion(1)), "{err}");
     }
 
     #[test]
@@ -758,8 +588,7 @@ mod tests {
         let mut header_bytes = [0u8; HEADER_LEN];
         header_bytes.copy_from_slice(&frame[..HEADER_LEN]);
         let header = parse_header(&header_bytes, DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(header.version, PROTOCOL_VERSION_2);
-        assert_eq!(header.codec, CODEC_V2);
+        assert_eq!(header.version, PROTOCOL_VERSION);
         assert_eq!(header.router_id, 7);
         let mut chains = ChainStore::new();
         let (back, was_delta) =
@@ -791,45 +620,11 @@ mod tests {
 
     #[test]
     fn control_messages_round_trip_and_reject_corruption() {
-        let hello = encode_hello(&[CODEC_V2, CODEC_V1]);
-        assert_eq!(hello.len(), HELLO_BASE_LEN + 2);
-        assert_eq!(parse_hello(&hello).unwrap(), vec![CODEC_V2, CODEC_V1]);
-        let mut bad = hello.clone();
-        bad[9] ^= 0x10;
-        assert!(matches!(
-            parse_hello(&bad).unwrap_err(),
-            WireError::CrcMismatch { .. }
-        ));
-        assert!(parse_hello(&hello[..HELLO_BASE_LEN + 1]).is_err());
-        assert!(parse_hello(b"HFSAxxxxxxxx").is_err());
-
-        let accept = encode_accept(CODEC_V2);
-        assert_eq!(parse_accept(&accept).unwrap(), CODEC_V2);
-        let mut bad = accept;
-        bad[6] = 1;
-        assert!(parse_accept(&bad).is_err());
-
         let ack = encode_ack(0xDEAD_BEEF_0042);
         assert_eq!(parse_ack(&ack).unwrap(), 0xDEAD_BEEF_0042);
         let mut bad = ack;
         bad[0] = b'X';
         assert!(parse_ack(&bad).is_err());
-    }
-
-    #[test]
-    fn transcoding_a_v2_keyframe_down_to_v1_preserves_the_snapshot() {
-        let snap = snapshot(14);
-        let payload = crate::codec_v2::encode_keyframe(&snap);
-        let v2 = encode_frame_v2(5, 9, snap.fingerprint, &payload).unwrap();
-        let v1 = transcode_frame_v2_to_v1(&v2).unwrap();
-        let (header, back) = read_frame(&mut &v1[..], DEFAULT_MAX_PAYLOAD)
-            .unwrap()
-            .unwrap();
-        assert_eq!(header.version, PROTOCOL_VERSION);
-        assert_eq!((header.router_id, header.interval), (5, 9));
-        assert_eq!(back, snap);
-        // A frame already in v1 passes through unchanged.
-        assert_eq!(transcode_frame_v2_to_v1(&v1).unwrap(), v1);
     }
 
     #[test]

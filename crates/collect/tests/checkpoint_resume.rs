@@ -7,15 +7,21 @@
 //! header, CRC, varint payload), not just the in-memory state, so the
 //! codec itself is inside the proved loop. A second test restarts a real
 //! TCP collector mid-stream, and a third checks a multi-interval outage
-//! raises nothing spurious once traffic returns.
+//! raises nothing spurious once traffic returns. The last two check that
+//! agents and aggregators refuse a version-2 agent checkpoint (the
+//! codec-tagged layout) instead of silently starting fresh.
 
 use hifind::pipeline::DetectionCore;
 use hifind::report::Phase;
 use hifind::{HiFind, HiFindConfig, IntervalSnapshot, SketchRecorder};
 use hifind_collect::checkpoint::{
-    decode_core_checkpoint, encode_core_checkpoint, read_core_checkpoint,
+    decode_core_checkpoint, encode_container_versioned, encode_core_checkpoint,
+    read_core_checkpoint, AGENT_MAGIC,
 };
-use hifind_collect::{AgentConfig, CheckpointPolicy, Collector, CollectorConfig, RouterAgent};
+use hifind_collect::{
+    AgentConfig, Aggregator, AggregatorConfig, CheckpointError, CheckpointPolicy, CollectError,
+    Collector, CollectorConfig, RouterAgent,
+};
 use hifind_flow::{Ip4, Packet, Trace};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -282,5 +288,50 @@ fn outage_gap_raises_no_spurious_alerts() {
         alert_identities(&report.log, Phase::Raw).is_empty(),
         "steady traffic across an outage must stay silent: {:?}",
         report.log
+    );
+}
+
+/// Writes an `HFA1` file in the version-2 layout — each backlog frame
+/// preceded by a codec tag byte — for node `id` under `cfg`.
+fn write_version_2_agent_checkpoint(cfg: &HiFindConfig, id: u8, tag: &str) -> PathBuf {
+    // router id, next interval, one backlog frame: codec tag 2, length 3,
+    // three frame bytes. Every field fits a one-byte varint.
+    let payload = [id, 3, 1, 2, 3, 0xAA, 0xBB, 0xCC];
+    let bytes = encode_container_versioned(AGENT_MAGIC, 2, cfg.fingerprint(), &payload);
+    let path = scratch(tag);
+    std::fs::write(&path, bytes).expect("write checkpoint");
+    path
+}
+
+#[test]
+fn agent_resume_from_version_2_checkpoint_is_a_version_error() {
+    let cfg = HiFindConfig::small(70);
+    let path = write_version_2_agent_checkpoint(&cfg, 4, "agent_v2");
+    let outcome = RouterAgent::resume_from_file("127.0.0.1:9", &cfg, AgentConfig::new(4), &path);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            outcome,
+            Err(CollectError::Checkpoint(CheckpointError::Version(2)))
+        ),
+        "{outcome:?}"
+    );
+}
+
+#[test]
+fn aggregator_resume_from_version_2_checkpoint_is_a_version_error() {
+    let cfg = HiFindConfig::small(71);
+    let path = write_version_2_agent_checkpoint(&cfg, 9, "aggregator_v2");
+    let mut agg_cfg = AggregatorConfig::new(9, 1);
+    agg_cfg.resume_from = Some(path.clone());
+    let outcome = Aggregator::bind("127.0.0.1:0", "127.0.0.1:9", cfg, agg_cfg, None);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            outcome,
+            Err(CollectError::Checkpoint(CheckpointError::Version(2)))
+        ),
+        "{:?}",
+        outcome.err()
     );
 }

@@ -8,7 +8,7 @@
 //! snapshot.
 
 use hifind::{HiFindConfig, IntervalSnapshot, SketchRecorder};
-use hifind_collect::{FrameHeader, WireError, HEADER_LEN, PROTOCOL_VERSION};
+use hifind_collect::{FrameHeader, WireError, HEADER_LEN};
 use hifind_flow::rng::SplitMix64;
 use hifind_flow::{Ip4, Packet};
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ proptest! {
         let (header, decoded) = read_one(&frame)
             .expect("well-formed frame")
             .expect("not EOF");
-        prop_assert_eq!(header.version, PROTOCOL_VERSION);
+        prop_assert_eq!(header.version, 2);
         prop_assert_eq!(header.router_id, router_id);
         prop_assert_eq!(header.interval, interval);
         prop_assert_eq!(header.fingerprint, snap.fingerprint);
@@ -101,20 +101,9 @@ proptest! {
             Ok(None) => prop_assert!(false, "a corrupt frame is not a clean EOF"),
             Err(err) => match pos {
                 0..=3 => prop_assert!(matches!(err, WireError::BadMagic(_)), "{err:?}"),
-                // A version flip can also land on 2, where the zeroed
-                // codec byte is then rejected as an unknown codec id.
-                4..=5 => {
-                    prop_assert!(
-                        matches!(
-                            err,
-                            WireError::UnsupportedVersion(_) | WireError::UnknownCodec(_)
-                        ),
-                        "{err:?}"
-                    )
-                }
-                6..=7 => {
-                    prop_assert!(matches!(err, WireError::ReservedBytes(_)), "{err:?}")
-                }
+                4..=5 => prop_assert!(matches!(err, WireError::UnsupportedVersion(_)), "{err:?}"),
+                6 => prop_assert!(matches!(err, WireError::UnknownCodec(_)), "{err:?}"),
+                7 => prop_assert!(matches!(err, WireError::ReservedBytes(_)), "{err:?}"),
                 20..=27 => prop_assert!(
                     matches!(err, WireError::FingerprintMismatch { .. }),
                     "{err:?}"

@@ -5,15 +5,22 @@
 //! snapshots over TCP to one collector — and the aggregate detection is
 //! alert-for-alert identical to a single router that saw everything. A
 //! second test kills one agent mid-run and checks the collector degrades
-//! to quorum detection instead of stalling.
+//! to quorum detection instead of stalling. The rest cover the codec v2
+//! session: acks promote it to deltas, and a frame of the retired
+//! version-1 format is rejected without disturbing a v2 router.
 
 use hifind::report::Phase;
-use hifind::{HiFind, HiFindConfig};
-use hifind_collect::{AgentConfig, Collector, CollectorConfig, RouterAgent};
+use hifind::{HiFind, HiFindConfig, SketchRecorder};
+use hifind_collect::{
+    AgentConfig, CollectObserver, Collector, CollectorConfig, RouterAgent, WireError,
+};
 use hifind_flow::{Ip4, Packet, Trace};
 use hifind_telemetry::registry::MetricValue;
 use hifind_telemetry::Registry;
 use hifind_trafficgen::{presets, split_per_packet};
+use std::io::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Buckets `part`'s packets into the merged trace's interval grid, so
@@ -264,4 +271,137 @@ fn dead_agent_degrades_to_quorum_instead_of_stalling() {
         "quorum view must still detect the flood: {:?}",
         report.log
     );
+}
+
+/// A v2 session on loopback actually reaches the delta steady state:
+/// frames flow, acks flow back, and the encoder starts emitting deltas.
+#[test]
+fn v2_session_reaches_delta_steady_state() {
+    let cfg = HiFindConfig::small(62);
+    let mut ccfg = CollectorConfig::new(1);
+    ccfg.straggler_deadline = Duration::from_secs(30);
+    let handle = Collector::bind("127.0.0.1:0", cfg, ccfg, None).expect("bind");
+    let addr = handle.local_addr().to_string();
+    let mut agent = RouterAgent::new(addr, &cfg, AgentConfig::new(0)).expect("config");
+    let victim: Ip4 = [129, 105, 0, 1].into();
+    // A warm first interval populates the cumulative service Bloom — the
+    // state whose unchanged bulk is exactly what deltas elide.
+    for i in 0..200u32 {
+        let server = Ip4::new(0x8169_0000 + i);
+        let c: Ip4 = [9, 9, (i % 50) as u8, 1].into();
+        agent.record(&Packet::syn(0, c, 4000, server, 80));
+        agent.record(&Packet::syn_ack(1, c, 4000, server, 80));
+    }
+    agent.end_interval();
+    let mut deltas_seen = false;
+    for iv in 1..30u64 {
+        for i in 0..20u32 {
+            let c: Ip4 = [9, 9, 9, (i % 100) as u8].into();
+            agent.record(&Packet::syn(iv * cfg.interval_ms, c, 4000, victim, 80));
+        }
+        agent.end_interval();
+        if agent.stats().frames_v2_deltas > 0 {
+            deltas_seen = true;
+            break;
+        }
+        // Give the collector's ack a moment to cross the loopback.
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(
+        deltas_seen,
+        "acks never promoted the session to deltas: {:?}",
+        agent.stats()
+    );
+    let stats = agent.finish();
+    assert!(
+        stats.frames_v2_keyframes >= 1,
+        "the chain starts on a keyframe"
+    );
+    let report = handle.wait().expect("collector threads");
+    assert_eq!(report.frames_rejected, 0);
+    assert!(report.frames_v2_deltas >= 1, "{report:?}");
+    assert_eq!(
+        report.frames_v2_deltas + report.frames_v2_keyframes,
+        report.frames_received
+    );
+}
+
+/// Counts the frame rejections a collector reports, by kind.
+#[derive(Default)]
+struct RejectionCounter {
+    version_1: AtomicU64,
+    other: AtomicU64,
+}
+
+impl CollectObserver for RejectionCounter {
+    fn frame_rejected(&self, error: &WireError) {
+        let slot = match error {
+            WireError::UnsupportedVersion(1) => &self.version_1,
+            _ => &self.other,
+        };
+        slot.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A frame of the retired version-1 format (dense payload, reserved
+/// zero bytes where the codec id now sits) is refused as an unsupported
+/// version and counted, while a v2 router on the same collector still
+/// gets every interval through complete.
+#[test]
+fn version_1_frame_is_rejected_while_a_v2_router_completes() {
+    let cfg = HiFindConfig::small(65);
+    let observer = Arc::new(RejectionCounter::default());
+    let mut ccfg = CollectorConfig::new(1);
+    ccfg.straggler_deadline = Duration::from_secs(30);
+    ccfg.observer = Some(Arc::clone(&observer) as Arc<dyn CollectObserver>);
+    let handle = Collector::bind("127.0.0.1:0", cfg, ccfg, None).expect("bind");
+    let addr = handle.local_addr().to_string();
+
+    let mut rec = SketchRecorder::new(&cfg).expect("config");
+    rec.record(&Packet::syn(
+        0,
+        [9, 9, 9, 1].into(),
+        4000,
+        [129, 105, 0, 1].into(),
+        80,
+    ));
+    let snap = rec.take_snapshot();
+    let payload = hifind_collect::codec::encode_snapshot(&snap);
+    let mut v1_frame = Vec::new();
+    v1_frame.extend_from_slice(&hifind_collect::wire::MAGIC);
+    v1_frame.extend_from_slice(&1u16.to_le_bytes());
+    v1_frame.extend_from_slice(&0u16.to_le_bytes());
+    v1_frame.extend_from_slice(&7u32.to_le_bytes());
+    v1_frame.extend_from_slice(&0u64.to_le_bytes());
+    v1_frame.extend_from_slice(&snap.fingerprint.to_le_bytes());
+    v1_frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    v1_frame.extend_from_slice(&hifind_collect::wire::crc32(&payload).to_le_bytes());
+    v1_frame.extend_from_slice(&payload);
+
+    let mut agent = RouterAgent::new(addr.clone(), &cfg, AgentConfig::new(0)).expect("config");
+    let victim: Ip4 = [129, 105, 0, 1].into();
+    for iv in 0..5u64 {
+        for i in 0..20u32 {
+            let c: Ip4 = [9, 9, 9, (i % 100) as u8].into();
+            agent.record(&Packet::syn(iv * cfg.interval_ms, c, 4000, victim, 80));
+        }
+        agent.end_interval();
+        // Mid-run, while the v2 router's connection is open, a version-1
+        // sender connects, ships one frame and leaves.
+        if iv == 1 {
+            let mut legacy = std::net::TcpStream::connect(&addr).expect("connect");
+            // The collector drops the connection on the header alone, so
+            // the tail of the write may meet a reset; that is not a failure.
+            let _ = legacy.write_all(&v1_frame);
+        }
+    }
+    let stats = agent.finish();
+    assert_eq!(stats.frames_shipped, 5);
+    let report = handle.wait().expect("collector threads");
+    assert_eq!(report.frames_rejected, 1, "{report:?}");
+    assert_eq!(observer.version_1.load(Ordering::SeqCst), 1);
+    assert_eq!(observer.other.load(Ordering::SeqCst), 0);
+    assert_eq!(report.frames_received, 5);
+    assert_eq!(report.complete_intervals, 5);
+    assert_eq!(report.routers_seen, vec![0]);
 }
