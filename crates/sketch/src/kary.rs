@@ -183,7 +183,8 @@ impl KarySketch {
     ///
     /// Panics in debug builds if the grid shape differs from this sketch's.
     pub fn estimate_grid(&self, grid: &CounterGrid, key: u64) -> i64 {
-        self.estimate_grid_with_sums(grid, key, &self.stage_sums(grid))
+        let sums = self.stage_sums(grid);
+        self.estimate_grid_with_sums(grid, key, &sums, &mut Vec::with_capacity(sums.len()))
     }
 
     /// The per-stage sums of `grid`, for amortizing many
@@ -195,25 +196,33 @@ impl KarySketch {
     }
 
     /// [`KarySketch::estimate_grid`] with the per-stage sums precomputed by
-    /// [`KarySketch::stage_sums`]; bit-identical to `estimate_grid`.
+    /// [`KarySketch::stage_sums`] and the per-stage estimates collected in
+    /// the caller's `scratch` buffer (cleared first), so estimating many
+    /// keys allocates once; bit-identical to `estimate_grid`.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the grid shape or `sums` length differs
     /// from this sketch's configuration.
-    pub fn estimate_grid_with_sums(&self, grid: &CounterGrid, key: u64, sums: &[i64]) -> i64 {
+    pub fn estimate_grid_with_sums(
+        &self,
+        grid: &CounterGrid,
+        key: u64,
+        sums: &[i64],
+        scratch: &mut Vec<i64>,
+    ) -> i64 {
         debug_assert_eq!(grid.stages(), self.config.stages);
         debug_assert_eq!(grid.buckets(), self.config.buckets);
         debug_assert_eq!(sums.len(), self.config.stages);
         let m = self.config.buckets as f64;
-        let mut estimates: Vec<i64> = Vec::with_capacity(self.config.stages);
+        scratch.clear();
         for ((stage, h), &stage_sum) in self.hashers.iter().enumerate().zip(sums) {
             let v = grid.get(stage, h.bucket(key)) as f64;
             let sum = stage_sum as f64;
             let unbiased = (v - sum / m) / (1.0 - 1.0 / m);
-            estimates.push(unbiased.round() as i64);
+            scratch.push(unbiased.round() as i64);
         }
-        median_i64(&mut estimates)
+        median_i64(scratch)
     }
 
     /// The raw median of the key's bucket values, without bias correction.
@@ -470,9 +479,11 @@ mod tests {
             s.update(rng.next_u64(), 1);
         }
         let sums = s.stage_sums(s.grid());
+        // One scratch buffer across keys, as inference uses it.
+        let mut scratch = Vec::new();
         for key in [0u64, 7777, u64::MAX, 42] {
             assert_eq!(
-                s.estimate_grid_with_sums(s.grid(), key, &sums),
+                s.estimate_grid_with_sums(s.grid(), key, &sums, &mut scratch),
                 s.estimate(key)
             );
         }

@@ -18,10 +18,22 @@
 //!    over stages, plus an optional separate verification k-ary sketch)
 //!    against the threshold.
 //!
-//! The search is output-sensitive: with balanced hash tables a candidate
-//! byte survives a random stage with probability `2^-chunk_bits`, so
-//! requiring agreement in `H−1` of `H` stages prunes almost everything that
-//! is not actually heavy.
+//! Step 2 votes per index chunk, not per byte. Whether a byte is compatible
+//! with a stage depends only on the chunk its word maps to, and the paper's
+//! geometry has 2-bit chunks (4 values). So each candidate ANDs its
+//! per-stage bucket mask with the 4 chunk masks of each stage once, turns
+//! the non-empty ones into a 256-bit set of compatible bytes per stage, and
+//! counts the "alive in ≥ `min_stages` stages" vote for all 256 extensions
+//! at once over four u64 lanes. A search level is one flat arena of keys,
+//! alive counts and masks, so extending a candidate allocates nothing.
+//!
+//! The search is output-sensitive once a candidate's masks have narrowed to
+//! a single heavy bucket per stage: then a byte survives a random stage with
+//! probability `2^-chunk_bits`, and requiring agreement in `H−1` of `H`
+//! stages prunes almost everything that is not actually heavy. Before that,
+//! with many heavy buckets every chunk is still compatible and the first
+//! words multiply the candidates by up to 256 each, which is what
+//! [`InferOptions::max_candidates`] bounds.
 
 use crate::grid::CounterGrid;
 use crate::kary::{KaryConfig, KarySketch};
@@ -337,33 +349,40 @@ impl ReversibleSketch {
     /// stages of the unbiased per-stage estimator.
     pub fn estimate_grid(&self, grid: &CounterGrid, key: u64) -> i64 {
         let sums: Vec<i64> = (0..grid.stages()).map(|s| grid.stage_sum(s)).collect();
-        self.estimate_grid_with_sums(grid, key, &sums)
+        self.estimate_grid_with_sums(grid, key, &sums, &mut Vec::with_capacity(sums.len()))
     }
 
     /// [`ReversibleSketch::estimate_grid`] with the per-stage sums
-    /// precomputed; bit-identical, and what inference uses so that
-    /// estimating hundreds of candidate keys walks the grid once instead
-    /// of once per candidate.
-    fn estimate_grid_with_sums(&self, grid: &CounterGrid, key: u64, sums: &[i64]) -> i64 {
+    /// precomputed and the per-stage estimates collected in the caller's
+    /// `scratch` buffer; bit-identical, and what inference uses so that
+    /// estimating hundreds of candidate keys walks the grid once and
+    /// allocates once instead of once per candidate.
+    fn estimate_grid_with_sums(
+        &self,
+        grid: &CounterGrid,
+        key: u64,
+        sums: &[i64],
+        scratch: &mut Vec<i64>,
+    ) -> i64 {
         debug_assert_eq!(grid.stages(), self.config.stages);
         debug_assert_eq!(grid.buckets(), self.config.buckets);
         debug_assert_eq!(sums.len(), self.config.stages);
         let mangled = self.mangler.mangle(key);
         let m = self.config.buckets as f64;
-        let mut estimates: Vec<i64> = Vec::with_capacity(self.config.stages);
+        scratch.clear();
         for ((stage, h), &stage_sum) in self.hashes.iter().enumerate().zip(sums) {
             let v = grid.get(stage, h.bucket(mangled)) as f64;
             let sum = stage_sum as f64;
-            estimates.push(((v - sum / m) / (1.0 - 1.0 / m)).round() as i64);
+            scratch.push(((v - sum / m) / (1.0 - 1.0 / m)).round() as i64);
         }
-        median_i64(&mut estimates)
+        median_i64(scratch)
     }
 
     /// INFERENCE over the sketch's own counters: recover all keys whose
     /// value is at least `threshold`.
     pub fn infer(&self, threshold: i64, opts: &InferOptions) -> InferenceResult {
-        let verifier_grid = self.verifier.as_ref().map(|v| v.grid().clone());
-        self.infer_grid(&self.grid, verifier_grid.as_ref(), threshold, opts)
+        let verifier_grid = self.verifier.as_ref().map(KarySketch::grid);
+        self.infer_grid(&self.grid, verifier_grid, threshold, opts)
     }
 
     /// INFERENCE over an external grid (typically the forecast-error grid)
@@ -407,75 +426,123 @@ impl ReversibleSketch {
             };
         }
 
-        // 2. Per stage / word / chunk: bitset of compatible heavy buckets.
+        // 2. Flat per-word tables. A candidate's compatible heavy buckets
+        // are one `mask_words`-word block: stage `s` owns the
+        // `ceil(heavy_s / 64)` words at `offsets[s]..offsets[s + 1]`.
+        // `chunk_masks` holds, per word position and index chunk, the block
+        // of heavy buckets whose chunk at that word is that chunk;
+        // `chunk_bytes` holds, per word, stage and chunk, the 256-bit set
+        // of byte values the stage's table maps to that chunk.
         let words = (self.config.key_bits / 8) as usize;
-        let chunk_bits = self.hashes[0].chunk_bits();
-        let chunk_count = 1usize << chunk_bits;
-        // masks[stage][word][chunk]
-        let masks: Vec<Vec<Vec<BitSet>>> = (0..stages)
-            .map(|s| {
-                let hb = &heavy[s];
-                (0..words as u32)
-                    .map(|w| {
-                        let mut per_chunk = vec![BitSet::empty(hb.len()); chunk_count];
-                        for (i, &b) in hb.iter().enumerate() {
-                            let chunk = self.hashes[s].index_chunk(b as usize, w);
-                            per_chunk[chunk as usize].set(i);
-                        }
-                        per_chunk
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // 3. Word-by-word candidate extension.
-        let mut candidates = vec![Candidate {
-            key: 0,
-            masks: heavy.iter().map(|hb| BitSet::full(hb.len())).collect(),
-            alive: nonempty_stages,
-        }];
-        // Reusable scratch masks: the hot loop allocates only for
-        // surviving extensions, and a per-word flattened chunk table keeps
-        // the stage hash lookups out of the inner loop.
-        let mut scratch: Vec<BitSet> = heavy.iter().map(|hb| BitSet::empty(hb.len())).collect();
-        let allowed_dead = stages - min_stages;
-        // `word` indexes masks[s][word] *and* feeds the hash chunk lookup,
-        // so a range loop reads better than iterating one of them.
-        #[allow(clippy::needless_range_loop)]
-        for word in 0..words {
-            let chunk_of: Vec<[u16; 256]> = (0..stages)
-                .map(|s| {
-                    let mut row = [0u16; 256];
-                    for (b, slot) in row.iter_mut().enumerate() {
-                        *slot = self.hashes[s].chunk(word as u32, b as u8);
+        let chunk_count = 1usize << self.hashes[0].chunk_bits();
+        let mut offsets = Vec::with_capacity(stages + 1);
+        let mut mask_words = 0usize;
+        offsets.push(0);
+        for hb in &heavy {
+            mask_words = mask_words.saturating_add(hb.len().div_ceil(64));
+            offsets.push(mask_words);
+        }
+        let block = chunk_count * mask_words;
+        let mut chunk_masks = vec![0u64; words * block];
+        let mut chunk_bytes = vec![[0u64; 4]; words * stages * chunk_count];
+        for (s, (hb, h)) in heavy.iter().zip(&self.hashes).enumerate() {
+            for word in 0..words {
+                for (i, &b) in hb.iter().enumerate() {
+                    let chunk = h.index_chunk(b as usize, word as u32) as usize;
+                    chunk_masks[word * block + chunk * mask_words + offsets[s] + i / 64] |=
+                        1u64 << (i % 64);
+                }
+                for chunk in 0..chunk_count {
+                    let set = &mut chunk_bytes[(word * stages + s) * chunk_count + chunk];
+                    for &byte in h.bytes_for_chunk(word as u32, chunk as u16) {
+                        set[usize::from(byte / 64)] |= 1u64 << (byte % 64);
                     }
-                    row
-                })
-                .collect();
-            let mut next = Vec::new();
-            'outer: for cand in &candidates {
-                for byte in 0usize..256 {
-                    stats.candidates_explored = stats.candidates_explored.saturating_add(1);
-                    let mut alive = 0usize;
-                    let mut dead = 0usize;
-                    for s in 0..stages {
-                        let m = &masks[s][word][chunk_of[s][byte] as usize];
-                        if cand.masks[s].and_into(m, &mut scratch[s]) {
-                            alive = alive.saturating_add(1);
-                        } else {
-                            dead = dead.saturating_add(1);
-                            if dead > allowed_dead {
-                                // Cannot reach min_stages any more.
-                                break;
+                }
+            }
+        }
+
+        // 3. Word-by-word candidate extension. A byte's compatibility with
+        // a stage depends only on its index chunk, so each candidate ANDs
+        // its mask with the `chunk_count` chunk masks of every stage once
+        // (24 ANDs at the paper's 2-bit chunks instead of one per byte and
+        // stage), ORs the byte sets of the non-empty chunks into that
+        // stage's compatible bytes, and takes the "alive in ≥ `min_stages`
+        // stages" vote over all 256 bytes at once, bit-sliced over four
+        // u64 lanes. Only the surviving bytes are materialised, in
+        // ascending order, into the next level's flat arena.
+        let mut level = Level::new(mask_words);
+        level.keys.push(0);
+        level.alive.push(nonempty_stages);
+        level.masks.resize(mask_words, 0);
+        for (s, hb) in heavy.iter().enumerate() {
+            let span = &mut level.masks[offsets[s]..offsets[s + 1]];
+            for (i, w) in span.iter_mut().enumerate() {
+                let bits = hb.len().saturating_sub(64 * i).min(64);
+                *w = u64::MAX >> (64 - bits);
+            }
+        }
+        let mut next = Level::new(mask_words);
+        // Per-candidate scratch: the chunk-masked blocks, each stage's
+        // compatible bytes, and `votes[k]` = bytes alive in ≥ k stages.
+        let mut anded = vec![0u64; block];
+        let mut compat = vec![[0u64; 4]; stages];
+        let mut votes = vec![[0u64; 4]; min_stages + 1];
+        for word in 0..words {
+            let masks = &chunk_masks[word * block..][..block];
+            let bytes = &chunk_bytes[word * stages * chunk_count..][..stages * chunk_count];
+            next.clear();
+            // Entries before `compacted` survived a truncation compaction,
+            // so they are all alive in every stage already.
+            let mut compacted = 0usize;
+            'outer: for cand in 0..level.len() {
+                let cand_mask = level.mask(cand);
+                votes.fill([0; 4]);
+                votes[0] = [u64::MAX; 4];
+                for (s, stage_bytes) in compat.iter_mut().enumerate() {
+                    let span = offsets[s]..offsets[s + 1];
+                    *stage_bytes = [0; 4];
+                    for chunk in 0..chunk_count {
+                        let out = &mut anded[chunk * mask_words..][..mask_words];
+                        let table = &masks[chunk * mask_words..][..mask_words];
+                        let mut any = 0u64;
+                        for i in span.clone() {
+                            out[i] = cand_mask[i] & table[i];
+                            any |= out[i];
+                        }
+                        if any != 0 {
+                            let set = &bytes[s * chunk_count + chunk];
+                            for (lane, &b) in stage_bytes.iter_mut().zip(set) {
+                                *lane |= b;
                             }
                         }
                     }
-                    if alive >= min_stages {
-                        next.push(Candidate {
-                            key: cand.key | (byte as u64) << (8 * word),
-                            masks: scratch.clone(),
-                            alive,
-                        });
+                    for k in (1..=min_stages).rev() {
+                        let below = votes[k - 1];
+                        for ((v, b), c) in votes[k].iter_mut().zip(below).zip(*stage_bytes) {
+                            *v |= b & c;
+                        }
+                    }
+                }
+                let key = level.keys[cand];
+                for (lane, &survivors) in votes[min_stages].iter().enumerate() {
+                    let mut bits = survivors;
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros() as usize;
+                        bits &= bits.wrapping_sub(1);
+                        let byte = lane * 64 + bit;
+                        let mut alive = 0usize;
+                        for (s, h) in self.hashes.iter().enumerate() {
+                            let chunk = usize::from(h.chunk(word as u32, byte as u8));
+                            let base = chunk * mask_words;
+                            next.masks.extend_from_slice(
+                                &anded[base + offsets[s]..base + offsets[s + 1]],
+                            );
+                            if (compat[s][lane] >> bit) & 1 == 1 {
+                                alive = alive.saturating_add(1);
+                            }
+                        }
+                        next.keys.push(key | (byte as u64) << (8 * word));
+                        next.alive.push(alive);
                         if next.len() > opts.max_candidates {
                             stats.truncated = true;
                             // Under adversarial load everything looks
@@ -483,17 +550,21 @@ impl ReversibleSketch {
                             // stage — true keys are, while spurious byte
                             // combinations usually sit at exactly
                             // `min_stages`.
-                            next.retain(|c| c.alive == stages);
+                            next.retain_alive_in_all(compacted, stages);
+                            compacted = next.len();
                             if next.len() > opts.max_candidates {
                                 next.truncate(opts.max_candidates);
+                                stats.candidates_explored =
+                                    stats.candidates_explored.saturating_add(byte as u64 + 1);
                                 break 'outer;
                             }
                         }
                     }
                 }
+                stats.candidates_explored = stats.candidates_explored.saturating_add(256);
             }
-            candidates = next;
-            if candidates.is_empty() {
+            std::mem::swap(&mut level, &mut next);
+            if level.len() == 0 {
                 break;
             }
         }
@@ -508,12 +579,13 @@ impl ReversibleSketch {
         };
         let mut keys = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for cand in candidates {
-            let key = self.mangler.unmangle(cand.key);
+        let mut estimates = Vec::with_capacity(stages);
+        for &mangled in &level.keys {
+            let key = self.mangler.unmangle(mangled);
             if !seen.insert(key) {
                 continue;
             }
-            let estimate = self.estimate_grid_with_sums(grid, key, &grid_sums);
+            let estimate = self.estimate_grid_with_sums(grid, key, &grid_sums, &mut estimates);
             if estimate < threshold {
                 stats.rejected_by_estimate = stats.rejected_by_estimate.saturating_add(1);
                 continue;
@@ -522,7 +594,7 @@ impl ReversibleSketch {
                 if let (Some(v), Some(vg), Some(vsums)) =
                     (&self.verifier, verifier_grid, &verifier_sums)
                 {
-                    if v.estimate_grid_with_sums(vg, key, vsums) < threshold {
+                    if v.estimate_grid_with_sums(vg, key, vsums, &mut estimates) < threshold {
                         stats.rejected_by_verifier = stats.rejected_by_verifier.saturating_add(1);
                         continue;
                     }
@@ -628,75 +700,59 @@ impl ReversibleSketch {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Candidate {
-    key: u64,
-    masks: Vec<BitSet>,
-    /// Stages whose compatible-bucket mask is still non-empty.
-    alive: usize,
+/// One search level's candidates in a flat arena: candidate `i` is the
+/// partial mangled key `keys[i]`, the number `alive[i]` of stages with a
+/// compatible heavy bucket, and the per-stage compatible-bucket masks
+/// `masks[i * mask_words..][..mask_words]`.
+struct Level {
+    mask_words: usize,
+    keys: Vec<u64>,
+    alive: Vec<usize>,
+    masks: Vec<u64>,
 }
 
-/// Minimal fixed-capacity bitset for tracking compatible heavy buckets.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn empty(bits: usize) -> Self {
-        BitSet {
-            words: vec![0; bits.div_ceil(64)],
+impl Level {
+    fn new(mask_words: usize) -> Self {
+        Level {
+            mask_words,
+            keys: Vec::new(),
+            alive: Vec::new(),
+            masks: Vec::new(),
         }
     }
 
-    fn full(bits: usize) -> Self {
-        let mut words = vec![u64::MAX; bits.div_ceil(64)];
-        let rem = bits % 64;
-        if rem != 0 {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << rem) - 1;
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn mask(&self, i: usize) -> &[u64] {
+        &self.masks[i * self.mask_words..][..self.mask_words]
+    }
+
+    fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.keys.truncate(len);
+        self.alive.truncate(len);
+        self.masks.truncate(len * self.mask_words);
+    }
+
+    /// Drops the candidates at `from..` that are not alive in all
+    /// `stages`, keeping the order of the rest.
+    fn retain_alive_in_all(&mut self, from: usize, stages: usize) {
+        let w = self.mask_words;
+        let mut kept = from;
+        for i in from..self.len() {
+            if self.alive[i] == stages {
+                self.keys[kept] = self.keys[i];
+                self.alive[kept] = stages;
+                self.masks.copy_within(i * w..(i + 1) * w, kept * w);
+                kept = kept.saturating_add(1);
             }
         }
-        BitSet { words }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Allocating variant kept for tests; the hot path uses
-    /// [`BitSet::and_into`].
-    #[cfg(test)]
-    #[inline]
-    fn and(&self, other: &BitSet) -> BitSet {
-        BitSet {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
-    }
-
-    /// Writes `self & other` into `out` (same capacity) and returns
-    /// whether the result is non-empty. Allocation-free hot-loop variant
-    /// of [`BitSet::and`].
-    #[inline]
-    fn and_into(&self, other: &BitSet, out: &mut BitSet) -> bool {
-        let mut any = 0u64;
-        for ((a, b), o) in self.words.iter().zip(&other.words).zip(&mut out.words) {
-            *o = a & b;
-            any |= *o;
-        }
-        any != 0
-    }
-
-    #[cfg(test)]
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.truncate(kept);
     }
 }
 
@@ -704,6 +760,7 @@ impl BitSet {
 mod tests {
     use super::*;
     use hifind_flow::keys::{SipDip, SipDport};
+    use proptest::prelude::*;
 
     fn small_cfg(seed: u64) -> RsConfig {
         RsConfig {
@@ -1010,17 +1067,256 @@ mod tests {
         assert!(!result.stats.truncated);
     }
 
-    #[test]
-    fn bitset_basics() {
-        let mut a = BitSet::empty(70);
-        assert!(a.is_empty());
-        a.set(0);
-        a.set(69);
-        let full = BitSet::full(70);
-        assert_eq!(a.and(&full), a);
-        let b = BitSet::empty(70);
-        assert!(a.and(&b).is_empty());
-        assert!(!BitSet::full(1).is_empty());
-        assert!(BitSet::full(0).is_empty());
+    /// The word-by-word search as it stood before the chunk-level vote,
+    /// kept as the oracle [`ReversibleSketch::infer_grid`] must match bit
+    /// for bit: one mask AND per byte and stage, one heap mask vector per
+    /// candidate, and a `retain` over the whole level on every overflow.
+    fn infer_grid_reference(
+        rs: &ReversibleSketch,
+        grid: &CounterGrid,
+        verifier_grid: Option<&CounterGrid>,
+        threshold: i64,
+        opts: &InferOptions,
+    ) -> InferenceResult {
+        struct RefCandidate {
+            key: u64,
+            masks: Vec<Vec<u64>>,
+            alive: usize,
+        }
+        fn empty(bits: usize) -> Vec<u64> {
+            vec![0; bits.div_ceil(64)]
+        }
+        fn full(bits: usize) -> Vec<u64> {
+            let mut words = vec![u64::MAX; bits.div_ceil(64)];
+            let rem = bits % 64;
+            if rem != 0 {
+                if let Some(last) = words.last_mut() {
+                    *last = (1u64 << rem) - 1;
+                }
+            }
+            words
+        }
+        fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
+            let mut any = 0u64;
+            for ((a, b), o) in a.iter().zip(b).zip(out.iter_mut()) {
+                *o = a & b;
+                any |= *o;
+            }
+            any != 0
+        }
+
+        let stages = rs.config.stages;
+        let min_stages = stages.saturating_sub(opts.miss_stages).max(1);
+        let mut stats = InferStats::default();
+
+        // 1. Heavy buckets per stage.
+        let kernel = crate::simd::kernel();
+        let heavy: Vec<Vec<u32>> = (0..stages)
+            .map(|s| {
+                let mut out = Vec::new();
+                kernel.heavy_buckets(grid.stage(s), threshold, &mut out);
+                out
+            })
+            .collect();
+        stats.heavy_buckets = heavy.iter().map(Vec::len).collect();
+        let nonempty_stages = heavy.iter().filter(|h| !h.is_empty()).count();
+        if nonempty_stages < min_stages {
+            return InferenceResult {
+                keys: Vec::new(),
+                stats,
+            };
+        }
+
+        // 2. Per stage / word / chunk: bitset of compatible heavy buckets.
+        let words = (rs.config.key_bits / 8) as usize;
+        let chunk_bits = rs.hashes[0].chunk_bits();
+        let chunk_count = 1usize << chunk_bits;
+        // masks[stage][word][chunk]
+        let masks: Vec<Vec<Vec<Vec<u64>>>> = (0..stages)
+            .map(|s| {
+                let hb = &heavy[s];
+                (0..words as u32)
+                    .map(|w| {
+                        let mut per_chunk = vec![empty(hb.len()); chunk_count];
+                        for (i, &b) in hb.iter().enumerate() {
+                            let chunk = rs.hashes[s].index_chunk(b as usize, w);
+                            per_chunk[chunk as usize][i / 64] |= 1u64 << (i % 64);
+                        }
+                        per_chunk
+                    })
+                    .collect()
+            })
+            .collect();
+
+        // 3. Word-by-word candidate extension.
+        let mut candidates = vec![RefCandidate {
+            key: 0,
+            masks: heavy.iter().map(|hb| full(hb.len())).collect(),
+            alive: nonempty_stages,
+        }];
+        let mut scratch: Vec<Vec<u64>> = heavy.iter().map(|hb| empty(hb.len())).collect();
+        let allowed_dead = stages - min_stages;
+        #[allow(clippy::needless_range_loop)]
+        for word in 0..words {
+            let chunk_of: Vec<[u16; 256]> = (0..stages)
+                .map(|s| {
+                    let mut row = [0u16; 256];
+                    for (b, slot) in row.iter_mut().enumerate() {
+                        *slot = rs.hashes[s].chunk(word as u32, b as u8);
+                    }
+                    row
+                })
+                .collect();
+            let mut next = Vec::new();
+            'outer: for cand in &candidates {
+                for byte in 0usize..256 {
+                    stats.candidates_explored = stats.candidates_explored.saturating_add(1);
+                    let mut alive = 0usize;
+                    let mut dead = 0usize;
+                    for s in 0..stages {
+                        let m = &masks[s][word][chunk_of[s][byte] as usize];
+                        if and_into(&cand.masks[s], m, &mut scratch[s]) {
+                            alive += 1;
+                        } else {
+                            dead += 1;
+                            if dead > allowed_dead {
+                                break;
+                            }
+                        }
+                    }
+                    if alive >= min_stages {
+                        next.push(RefCandidate {
+                            key: cand.key | (byte as u64) << (8 * word),
+                            masks: scratch.clone(),
+                            alive,
+                        });
+                        if next.len() > opts.max_candidates {
+                            stats.truncated = true;
+                            next.retain(|c| c.alive == stages);
+                            if next.len() > opts.max_candidates {
+                                next.truncate(opts.max_candidates);
+                                break 'outer;
+                            }
+                        }
+                    }
+                }
+            }
+            candidates = next;
+            if candidates.is_empty() {
+                break;
+            }
+        }
+
+        // 4. Un-mangle, estimate, verify, sort — a fresh estimate buffer
+        // per call, as before the shared scratch.
+        let grid_sums: Vec<i64> = (0..stages).map(|s| grid.stage_sum(s)).collect();
+        let verifier_sums: Option<Vec<i64>> = match (opts.use_verifier, &rs.verifier) {
+            (true, Some(v)) => verifier_grid.map(|vg| v.stage_sums(vg)),
+            _ => None,
+        };
+        let mut keys = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for cand in candidates {
+            let key = rs.mangler.unmangle(cand.key);
+            if !seen.insert(key) {
+                continue;
+            }
+            let estimate = rs.estimate_grid_with_sums(grid, key, &grid_sums, &mut Vec::new());
+            if estimate < threshold {
+                stats.rejected_by_estimate += 1;
+                continue;
+            }
+            if opts.use_verifier {
+                if let (Some(v), Some(vg), Some(vsums)) =
+                    (&rs.verifier, verifier_grid, &verifier_sums)
+                {
+                    if v.estimate_grid_with_sums(vg, key, vsums, &mut Vec::new()) < threshold {
+                        stats.rejected_by_verifier += 1;
+                        continue;
+                    }
+                }
+            }
+            keys.push(HeavyKey { key, estimate });
+        }
+        keys.sort_by(|a, b| b.estimate.cmp(&a.estimate).then(a.key.cmp(&b.key)));
+        InferenceResult { keys, stats }
+    }
+
+    /// Sketch shapes for the oracle: the two paper configurations plus
+    /// small ones with 1-, 2- and 4-bit index chunks and fewer stages.
+    fn oracle_config(pick: usize, seed: u64, mangle: bool, verifier: bool) -> RsConfig {
+        let (key_bits, stages, buckets) = match pick {
+            0 => (48, 6, 1 << 12),
+            1 => (64, 6, 1 << 16),
+            2 => (48, 6, 1 << 6),
+            3 => (32, 4, 1 << 8),
+            4 => (16, 3, 1 << 8),
+            _ => (24, 5, 1 << 12),
+        };
+        RsConfig {
+            key_bits,
+            stages,
+            buckets,
+            seed,
+            mangle,
+            verifier_buckets: verifier.then_some(if pick < 2 { 1 << 14 } else { 1 << 8 }),
+        }
+    }
+
+    proptest! {
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn infer_grid_matches_reference_search(
+            shape in (0usize..6, any::<u64>(), any::<bool>(), any::<bool>()),
+            heavy in (prop_oneof![1usize..=12, 13usize..=300], 0usize..4000, any::<u64>()),
+            opts in (0usize..=2, 0usize..5, any::<bool>(), any::<bool>()),
+            strays in (0usize..40, any::<bool>()),
+        ) {
+            let (pick, seed, mangle, verifier) = shape;
+            let (heavy_keys, noise_keys, data_seed) = heavy;
+            let (miss_stages, cap_pick, use_verifier, pass_verifier_grid) = opts;
+            let (stray_cells, strays_only) = strays;
+            let cfg = oracle_config(pick, seed, mangle, verifier);
+            let key_mask = u64::MAX >> (64 - cfg.key_bits);
+            let mut rs = ReversibleSketch::new(cfg).unwrap();
+            let mut rng = SplitMix64::new(data_seed);
+            for _ in 0..heavy_keys {
+                rs.update(rng.next_u64() & key_mask, 600 + rng.below(900) as i64);
+            }
+            for _ in 0..noise_keys {
+                rs.update(rng.next_u64() & key_mask, rng.below(5) as i64 - 2);
+            }
+            // Heavy cells outside any key's bucket tuple give the stages
+            // unequal heavy-bucket counts; on their own, sometimes none.
+            let mut grid = if strays_only {
+                CounterGrid::new(cfg.stages, cfg.buckets)
+            } else {
+                rs.grid().clone()
+            };
+            for _ in 0..stray_cells {
+                let stage = rng.below(cfg.stages as u64) as usize;
+                let bucket = rng.below(cfg.buckets as u64) as usize;
+                grid.add(stage, bucket, 700);
+            }
+            let max_candidates = match cap_pick {
+                0 => 16,
+                1 => 16 + rng.below(240) as usize,
+                2 => 1 << 10,
+                // The production cap, where a few heavy keys never reach it.
+                3 if heavy_keys <= 12 && miss_stages <= 1 => {
+                    InferOptions::default().max_candidates
+                }
+                _ => 1 << 12,
+            };
+            let opts = InferOptions {
+                miss_stages,
+                max_candidates,
+                use_verifier,
+            };
+            let vgrid = rs.verifier().map(KarySketch::grid).filter(|_| pass_verifier_grid);
+            let fast = rs.infer_grid(&grid, vgrid, 500, &opts);
+            let reference = infer_grid_reference(&rs, &grid, vgrid, 500, &opts);
+            prop_assert_eq!(fast, reference);
+        }
     }
 }
